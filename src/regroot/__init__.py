@@ -52,7 +52,6 @@ from .verify import (
     Case,
     VerifyReport,
     suite_counting,
-    suite_equivalence_structure,
     suite_full_tn,
     suite_gap,
     suite_lower_bound,
@@ -96,7 +95,6 @@ __all__ = [
     "serialize",
     "stirling2",
     "suite_counting",
-    "suite_equivalence_structure",
     "suite_full_tn",
     "suite_gap",
     "suite_lower_bound",

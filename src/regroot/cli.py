@@ -22,29 +22,7 @@ from .monoid import (
     ukl_generators,
 )
 from .root import root_automaton, unary_root
-from .verify import (
-    VerifyReport,
-    suite_counting,
-    suite_equivalence_structure,
-    suite_full_tn,
-    suite_gap,
-    suite_lower_bound,
-    suite_min_dfa,
-    suite_start_final_variation,
-    suite_unary,
-)
-
-SUITES = (
-    "full-tn",
-    "min-dfa",
-    "equivalence",
-    "start-final",
-    "unary",
-    "counting",
-    "gap",
-    "lower-bound",
-    "all",
-)
+from .verify import SUITES
 
 
 def _load(path: str) -> Dfa:
@@ -144,50 +122,38 @@ def cmd_largest2(args) -> int:
     return 0
 
 
-def _verify_reports(args) -> list[VerifyReport]:
-    name = args.suite
-    if name == "all":
-        reports = []
-        for n in range(1, 7):
-            reports.append(suite_full_tn(n))
-        for k, l in ((2, 3), (3, 4)):
-            reports.append(suite_min_dfa(k, l))
-            reports.append(suite_equivalence_structure(k, l))
-        reports.append(suite_start_final_variation(2, 3))
-        reports.append(suite_unary(12, seed=args.seed))
-        reports.append(suite_counting())
-        reports.append(suite_gap(40))
-        reports.append(suite_lower_bound(30))
-        return reports
-    if name == "full-tn":
-        top = args.max_n or 6
-        return [suite_full_tn(n) for n in range(1, top + 1)]
-    if name in ("min-dfa", "equivalence"):
-        fn = suite_min_dfa if name == "min-dfa" else suite_equivalence_structure
-        if args.k is not None or args.l is not None:
-            if args.k is None or args.l is None:
-                raise ValueError("pass both --k and --l")
-            return [fn(args.k, args.l)]
-        top = args.max_n or 7
-        pairs = [(2, 3)] + ([(3, 4)] if top >= 7 else [])
-        return [fn(k, l) for k, l in pairs]
+def _suite_runs(name: str, runs, args) -> list[tuple]:
+    # The runs that the options select in place of the suite's default runs.
     if name == "start-final":
-        k = args.k if args.k is not None else 2
-        l = args.l if args.l is not None else 3
-        return [suite_start_final_variation(k, l)]
-    if name == "unary":
-        return [suite_unary(args.max_n or 12, seed=args.seed)]
-    if name == "counting":
-        return [suite_counting()]
-    if name == "gap":
-        return [suite_gap(args.max_n or 40)]
-    if name == "lower-bound":
-        return [suite_lower_bound(args.max_n or 30)]
-    raise ValueError(f"unknown suite {name!r}")
+        ((k, l),) = runs
+        return [(k if args.k is None else args.k, l if args.l is None else args.l)]
+    if name == "min-dfa" and (args.k is not None or args.l is not None):
+        if args.k is None or args.l is None:
+            raise ValueError("pass both -k and -l")
+        return [(args.k, args.l)]
+    if args.max_n is None or name == "counting":
+        return list(runs)
+    if name == "full-tn":
+        return [(n,) for n in range(1, args.max_n + 1)]
+    if name == "min-dfa":
+        return [(k, l) for k, l in runs if k + l <= args.max_n]
+    return [(args.max_n,)]
 
 
 def cmd_verify(args) -> int:
-    reports = _verify_reports(args)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    calls = []
+    for name in names:
+        suite, budget, runs = SUITES[name]
+        if args.suite != "all":
+            runs = _suite_runs(name, runs, args)
+            if not runs:
+                raise ValueError(f"--max-n {args.max_n} selects no {name} run")
+        for run in runs:
+            budget(*run)
+        keywords = {"seed": args.seed} if name == "unary" else {}
+        calls += [(suite, run, keywords) for run in runs]
+    reports = [suite(*run, **keywords) for suite, run, keywords in calls]
     ok = all(r.passed for r in reports)
     if args.json:
         print(json.dumps({"reports": [r.to_dict() for r in reports], "pass": ok}))
@@ -251,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_largest2)
 
     p = sub.add_parser("verify", help="run a reproduction suite")
-    p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p.add_argument("--max-n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-k", type=int)

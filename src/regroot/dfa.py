@@ -266,33 +266,18 @@ def minimize(d: Dfa) -> Dfa:
     smallest words, so two equivalent inputs minimize to equal values.
     """
     order, succ, cls, ncls = _reachable_refined(d)
-    _, first = np.unique(cls, return_index=True)
+    # order lists the states by first reach, so numbering the classes by
+    # first appearance in it numbers them by first reach too; the first
+    # member of each class stands for it.
     cls_l = cls.tolist()
-    first_l = first.tolist()
-    succ_l = succ.tolist()
-    k = len(d.alphabet)
-
-    bfs = [cls_l[0]]
-    new_id = {cls_l[0]: 1}
-    i = 0
-    while i < len(bfs):
-        c = bfs[i]
-        i += 1
-        rep = first_l[c]
-        for a in range(k):
-            tc = cls_l[succ_l[a][rep]]
-            if tc not in new_id:
-                new_id[tc] = len(new_id) + 1
-                bfs.append(tc)
-    # every refined class contains a reachable state, so all are visited
-    assert len(new_id) == ncls
-
-    fin_by_class = {cls_l[idx]: (order[idx] in d.finals) for idx in first_l}
-    delta = tuple(
-        tuple(new_id[cls_l[succ_l[a][first_l[c]]]] for c in bfs)
-        for a in range(k)
-    )
-    finals = frozenset(new_id[c] for c in bfs if fin_by_class[c])
+    number: dict[int, int] = {}
+    reps: list[int] = []
+    for i, c in enumerate(cls_l):
+        if c not in number:
+            number[c] = len(reps) + 1
+            reps.append(i)
+    delta = tuple(tuple(number[cls_l[row[i]]] for i in reps) for row in succ.tolist())
+    finals = frozenset(j for j, i in enumerate(reps, 1) if order[i] in d.finals)
     return Dfa(ncls, d.alphabet, delta, 1, finals)
 
 
@@ -332,3 +317,10 @@ def unary_structure(d: Dfa) -> tuple[int, int, int]:
         q = row[q - 1]
     j = seen[q]
     return j, i - j, q
+
+
+def chain_dfa(tail: int, loop: int, finals, alphabet: tuple[str, ...] = ("a",)) -> Dfa:
+    """One-letter DFA from state 1 along a tail of `tail` states into a `loop`-cycle."""
+    m = tail + loop
+    row = tuple(range(2, m + 1)) + (tail + 1,)
+    return Dfa(m, alphabet, (row,), 1, frozenset(finals))

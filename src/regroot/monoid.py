@@ -58,6 +58,18 @@ class TransMonoid:
         except KeyError:
             raise ValueError(f"{tuple(f)} is not an element of this monoid") from None
 
+    def right_translation(self, g) -> tuple[int, ...]:
+        """The number plus one of f * g for each element f, in element order.
+
+        That is the transition row of a letter acting as g in the root
+        automaton, whose state s is element s - 1.
+        """
+        index = self._index
+        try:
+            return tuple(index[tuple(g[x - 1] for x in f)] + 1 for f in self._rows)
+        except KeyError:
+            raise ValueError(f"this monoid is not closed under multiplication by {tuple(g)}") from None
+
     def rank_histogram(self) -> dict[int, int]:
         """Count of elements per rank."""
         hist: dict[int, int] = {}
@@ -76,6 +88,8 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
     gens = [g if isinstance(g, Transformation) else Transformation(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
+    if not isinstance(max_elements, int) or max_elements < 1:
+        raise ValueError(f"the element cap must be a positive integer, got {max_elements!r}")
     n = gens[0].degree
     for g in gens:
         if g.degree != n:
@@ -160,15 +174,7 @@ def ukl_generators(k: int, l: int) -> tuple[Transformation, Transformation]:
 
 @lru_cache(maxsize=None)
 def _alpha_power_rows(k: int, l: int) -> frozenset[tuple[int, ...]]:
-    alpha = cycle_pair(k, l)
-    ident = identity(k + l)
-    rows = set()
-    p = alpha
-    while True:
-        rows.add(tuple(p))
-        if p == ident:
-            return frozenset(rows)
-        p = p * alpha
+    return frozenset(tuple(f) for f in closure([cycle_pair(k, l)]))
 
 
 def ukl_member(g, k: int, l: int) -> bool:

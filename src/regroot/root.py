@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dfa import Dfa, accepts, minimize, unary_structure
+from .dfa import Dfa, accepts, chain_dfa, minimize, unary_structure
 from .monoid import DEFAULT_MAX_ELEMENTS, TransMonoid, transformation_monoid
 from .transform import Transformation
 
@@ -57,29 +57,17 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
     """Build the automaton recognizing root(L(d)).
 
     A precomputed transformation monoid of d may be passed to share work
-    across calls that differ only in start or final states.
+    across calls that differ only in start or final states; a monoid that
+    misses a product of an element with a letter map is a ValueError.
     """
     m = monoid if monoid is not None else transformation_monoid(d, max_elements=max_elements)
     if m.degree != d.n:
         raise ValueError(f"monoid degree {m.degree} does not match DFA size {d.n}")
-    rows = m._rows
-    index = m._index
-    delta = tuple(
-        tuple(index[tuple(g[x - 1] for x in f)] + 1 for f in rows)
-        for g in d.delta
+    delta = tuple(m.right_translation(g) for g in d.delta)
+    finals = frozenset(
+        s for s, f in enumerate(m, 1) if accepting_transformation(f, d.start, d.finals)
     )
-    q0 = d.start
-    fset = d.finals
-    n = d.n
-    finals = []
-    for i, row in enumerate(rows):
-        q = row[q0 - 1]
-        for _ in range(n):
-            if q in fset:
-                finals.append(i + 1)
-                break
-            q = row[q - 1]
-    dfa = Dfa(len(rows), d.alphabet, delta, 1, frozenset(finals))
+    dfa = Dfa(len(m), d.alphabet, delta, 1, finals)
     return RootAutomaton(dfa=dfa, monoid=m, origin=d)
 
 
@@ -136,8 +124,7 @@ def unary_root(d: Dfa) -> Dfa:
             if any(b % g == 0 for b in loop_offsets):
                 new_finals.add(pos + 1)
 
-    delta_row = tuple(i + 2 for i in range(m - 1)) + (j + 1,)
-    return Dfa(m, d.alphabet, (delta_row,), 1, frozenset(new_finals))
+    return chain_dfa(j, l, new_finals, d.alphabet)
 
 
 def root_state_complexity(d: Dfa) -> int:

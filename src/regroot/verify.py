@@ -9,14 +9,13 @@ deterministic given its parameters.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .counting import (
-    _ukl_size_raw,
     binomial,
     factorial,
     hk_lower_bound,
@@ -24,8 +23,8 @@ from .counting import (
     ukl_gap,
     ukl_size_formula,
 )
-from .dfa import Dfa, equivalent, minimize, nerode_partition
-from .monoid import closure, dfa_based_on, tn_generators, transformation_monoid, ukl_generators
+from .dfa import Dfa, chain_dfa, equivalent, minimize, nerode_partition
+from .monoid import closure, dfa_based_on, tn_generators, ukl_generators
 from .root import accepting_transformation, root_automaton, unary_root
 
 
@@ -104,23 +103,45 @@ def _check_pair(k: int, l: int, max_total: int) -> int:
     return n
 
 
-def suite_equivalence_structure(k: int, l: int) -> VerifyReport:
-    """State-equivalence structure of the root automaton of the canonical DFA.
+def _check_range(suite: str, param: str, value, lo: int, hi: int) -> None:
+    if not isinstance(value, int) or not lo <= value <= hi:
+        raise ValueError(f"{suite} is budgeted to {lo} <= {param} <= {hi}, got {value!r}")
 
-    Exactly C(n,2) two-element classes must appear, each consisting of a
-    rank-2 map whose value at the start state is unique, paired with its
-    complement; every other class must be a singleton.
+
+# The budget of each suite, a check of its positional arguments that it
+# makes before any work.
+_budget_full_tn = partial(_check_range, "full-monoid check", "n", lo=1, hi=6)
+_budget_min_dfa = partial(_check_pair, max_total=7)
+_budget_start_final = partial(_check_pair, max_total=5)
+_budget_unary = partial(_check_range, "unary suite", "max_n", lo=2, hi=14)
+_budget_gap = partial(_check_range, "gap suite", "max_n", lo=7, hi=100)
+_budget_lower_bound = partial(_check_range, "lower-bound suite", "max_n", lo=7, hi=30)
+
+
+def suite_min_dfa(k: int, l: int) -> VerifyReport:
+    """Minimal root automaton of U_{k,l}: |M| - C(n,2) states, and which merge.
+
+    One closure, one root construction and one Nerode refinement give every
+    case; the number of classes is the size of the minimal DFA.  Exactly
+    C(n,2) two-element classes must appear, each consisting of a rank-2 map
+    whose value at the start state is unique, paired with its complement;
+    every other class must be a singleton.
     """
-    n = _check_pair(k, l, 7)
+    n = _budget_min_dfa(k, l)
     rec = _Recorder()
-    alpha, beta = ukl_generators(k, l)
-    base = dfa_based_on([alpha, beta])
-    ra = root_automaton(base)
+    gens = ukl_generators(k, l)
+    m = closure(gens)
+    formula = ukl_size_formula(k, l)
+    rec.add("monoid-size-vs-formula", len(m) == formula, formula, len(m))
+
+    ra = root_automaton(dfa_based_on(gens), monoid=m)
     blocks = nerode_partition(ra.dfa)
+    want_pairs = binomial(n, 2)
+    want = formula - want_pairs
+    rec.add("root-state-complexity", len(blocks) == want, want, len(blocks))
 
     pairs = [b for b in blocks if len(b) == 2]
-    want = binomial(n, 2)
-    rec.add("two-element-classes", len(pairs) == want, want, len(pairs))
+    rec.add("two-element-classes", len(pairs) == want_pairs, want_pairs, len(pairs))
 
     shape_ok = True
     for b in pairs:
@@ -139,32 +160,14 @@ def suite_equivalence_structure(k: int, l: int) -> VerifyReport:
     larger = [b for b in blocks if len(b) > 2]
     rec.add("no-larger-classes", not larger, 0, len(larger))
 
-    want_classes = len(ra.monoid) - want
+    want_classes = len(m) - want_pairs
     rec.add("class-count", len(blocks) == want_classes, want_classes, len(blocks))
-    return rec.report("equivalence-structure", {"k": k, "l": l})
-
-
-def suite_min_dfa(k: int, l: int) -> VerifyReport:
-    """Minimal root automaton size |M| - C(n,2), formula against construction."""
-    n = _check_pair(k, l, 7)
-    rec = _Recorder()
-    alpha, beta = ukl_generators(k, l)
-    m = closure([alpha, beta])
-    formula = ukl_size_formula(k, l)
-    rec.add("monoid-size-vs-formula", len(m) == formula, formula, len(m))
-
-    base = dfa_based_on([alpha, beta])
-    ra = root_automaton(base, monoid=m)
-    sc = minimize(ra.dfa).n
-    want = formula - binomial(n, 2)
-    rec.add("root-state-complexity", sc == want, want, sc)
     return rec.report("min-dfa", {"k": k, "l": l})
 
 
 def suite_full_tn(n: int) -> VerifyReport:
     """Tightness of the n^n - C(n,2) bound for full-monoid languages."""
-    if not isinstance(n, int) or not 1 <= n <= 6:
-        raise ValueError(f"full-monoid check is budgeted to 1 <= n <= 6, got {n!r}")
+    _budget_full_tn(n)
     rec = _Recorder()
     gens = tn_generators(n)
     m = closure(gens)
@@ -179,7 +182,7 @@ def suite_full_tn(n: int) -> VerifyReport:
 
 def suite_start_final_variation(k: int, l: int) -> VerifyReport:
     """No start/final assignment beats the canonical one-state-one-final choice."""
-    n = _check_pair(k, l, 5)
+    n = _budget_start_final(k, l)
     rec = _Recorder()
     alpha, beta = ukl_generators(k, l)
     m = closure([alpha, beta])
@@ -207,15 +210,9 @@ def suite_start_final_variation(k: int, l: int) -> VerifyReport:
     return rec.report("start-final-variation", {"k": k, "l": l})
 
 
-def _chain_dfa(tail: int, loop: int, finals) -> Dfa:
-    m = tail + loop
-    row = tuple(i + 2 for i in range(m - 1)) + (tail + 1,)
-    return Dfa(m, ("a",), (row,), 1, frozenset(finals))
-
-
 def _single_word_dfa(n: int) -> Dfa:
     # n states recognizing the single word a^(n-2): a chain into a dead loop.
-    return _chain_dfa(n - 1, 1, {n - 1})
+    return chain_dfa(n - 1, 1, {n - 1})
 
 
 def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> VerifyReport:
@@ -226,8 +223,7 @@ def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> Verify
     that the divisor-marking construction matches the generic monoid
     construction and never needs more states than the original language.
     """
-    if not isinstance(max_n, int) or not 2 <= max_n <= 14:
-        raise ValueError(f"unary suite is budgeted to 2 <= max_n <= 14, got {max_n!r}")
+    _budget_unary(max_n)
     rec = _Recorder()
     for n in range(2, max_n + 1):
         d = _single_word_dfa(n)
@@ -248,7 +244,7 @@ def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> Verify
             tail = rng.randrange(n)
             loop = rng.randint(1, n - tail)
             finals = {q for q in range(1, tail + loop + 1) if rng.random() < 0.5}
-            d = _chain_dfa(tail, loop, finals)
+            d = chain_dfa(tail, loop, finals)
             fast = unary_root(d)
             if not equivalent(fast, root_automaton(d).dfa):
                 bad += 1
@@ -267,6 +263,13 @@ def _set_partition_count(n: int, k: int) -> int:
         return 0
     surj = sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1))
     return surj // math.factorial(k)
+
+
+def _formula_vs_enumeration(rec: _Recorder, k: int, l: int) -> int:
+    size = len(closure(ukl_generators(k, l)))
+    formula = ukl_size_formula(k, l)
+    rec.add(f"formula-vs-enumeration-({k},{l})", size == formula, formula, size)
+    return size
 
 
 def suite_counting() -> VerifyReport:
@@ -300,14 +303,7 @@ def suite_counting() -> VerifyReport:
     )
     rec.add("function-count-identity", ok, "sum C(m,i) i! S(n,i) == m^n, n,m <= 12", "holds" if ok else "fails")
 
-    for k, l in [(2, 3), (3, 2)]:
-        size = len(closure(ukl_generators(k, l)))
-        formula = ukl_size_formula(k, l)
-        rec.add(f"formula-vs-enumeration-({k},{l})", size == formula, formula, size)
-    for k, l in [(3, 4), (2, 5), (5, 2)]:
-        size = len(closure(ukl_generators(k, l)))
-        formula = ukl_size_formula(k, l)
-        rec.add(f"formula-vs-enumeration-({k},{l})", size == formula, formula, size)
+    _formula_vs_enumeration(rec, 3, 2)
 
     ok = all(
         ukl_size_formula(k, l) <= (k + l) ** (k + l)
@@ -321,8 +317,7 @@ def suite_counting() -> VerifyReport:
 
 def suite_gap(max_n: int = 40) -> VerifyReport:
     """The (2, n-2) monoid beats the (n-2, 2) one by at least C(n,2)."""
-    if not isinstance(max_n, int) or not 7 <= max_n <= 100:
-        raise ValueError(f"gap suite is budgeted to 7 <= max_n <= 100, got {max_n!r}")
+    _budget_gap(max_n)
     rec = _Recorder()
     worst = None
     ok = True
@@ -334,21 +329,20 @@ def suite_gap(max_n: int = 40) -> VerifyReport:
             ok = False
     rec.add("gap-at-least-binom", ok, f"gap - C(n,2) >= 0 for 7 <= n <= {max_n}", f"min margin {worst}")
 
-    enum_gap = len(closure(ukl_generators(2, 5))) - len(closure(ukl_generators(5, 2)))
+    enum_gap = _formula_vs_enumeration(rec, 2, 5) - _formula_vs_enumeration(rec, 5, 2)
     rec.add("enumeration-crosscheck-n=7", enum_gap == ukl_gap(7), ukl_gap(7), enum_gap)
     return rec.report("gap", {"max_n": max_n})
 
 
 def suite_lower_bound(max_n: int = 30) -> VerifyReport:
     """Best coprime split beats the analytic lower bound for 7 <= n <= max_n."""
-    if not isinstance(max_n, int) or not 7 <= max_n <= 30:
-        raise ValueError(f"lower-bound suite is budgeted to 7 <= max_n <= 30, got {max_n!r}")
+    _budget_lower_bound(max_n)
     rec = _Recorder()
     ok = True
     closest = None
     for n in range(7, max_n + 1):
         best = max(
-            _ukl_size_raw(k, n - k)
+            ukl_size_formula(k, n - k)
             for k in range(2, n - 1)
             if math.gcd(k, n - k) == 1
         )
@@ -365,3 +359,17 @@ def suite_lower_bound(max_n: int = 30) -> VerifyReport:
         f"holds, min slack {closest:.3g}" if ok else "violated",
     )
     return rec.report("lower-bound", {"max_n": max_n})
+
+
+# Each `verify --suite` name: its suite, its budget and its default runs,
+# one tuple of positional arguments each.  `verify --suite all` makes every
+# default run, in this order.
+SUITES = {
+    "full-tn": (suite_full_tn, _budget_full_tn, tuple((n,) for n in range(1, 7))),
+    "min-dfa": (suite_min_dfa, _budget_min_dfa, ((2, 3), (3, 4))),
+    "start-final": (suite_start_final_variation, _budget_start_final, ((2, 3),)),
+    "unary": (suite_unary, _budget_unary, ((12,),)),
+    "counting": (suite_counting, lambda: None, ((),)),
+    "gap": (suite_gap, _budget_gap, ((40,),)),
+    "lower-bound": (suite_lower_bound, _budget_lower_bound, ((30,),)),
+}

@@ -1,7 +1,9 @@
 """End-to-end acceptance checks, one per headline claim.
 
 Each test prints a single ACCEPTANCE line (run pytest with -s to see them
-all); the asserted values are exact, never tolerances.
+all); the asserted values are exact, never tolerances.  Where a verify
+suite checks a claim, the test runs that suite and pins the paper's
+constants, as literals, on the expected and measured values it reports.
 
 Two checks concern the two-step split of the Stirling recurrence.  8b
 checks the correct split, whose last coefficient is i**2.  8c checks that
@@ -13,32 +15,25 @@ first counterexample is n=4, i=2 (claimed 4, true value 7).  8c passes
 when the program matches that record.
 """
 
-import itertools
-import math
 import random
 
 import pytest
 
 from regroot import (
     accepts,
-    binomial,
     closure,
-    dfa_based_on,
     equivalent,
-    factorial,
-    hk_lower_bound,
     largest_two_generated,
     minimize,
-    nerode_partition,
     root_automaton,
     root_member_oracle,
     stirling2,
+    suite_counting,
+    suite_full_tn,
+    suite_gap,
+    suite_lower_bound,
+    suite_min_dfa,
     suite_unary,
-    tn_generators,
-    ukl_gap,
-    ukl_generators,
-    ukl_size_formula,
-    unary_root,
 )
 from regroot.dfa import Dfa
 
@@ -48,100 +43,85 @@ def report(name, ok, details):
     return ok
 
 
+def cases(report):
+    return {c.name: c for c in report.cases}
+
+
 @pytest.fixture(scope="module")
 def u34():
-    alpha, beta = ukl_generators(3, 4)
-    m = closure([alpha, beta])
-    ra = root_automaton(dfa_based_on([alpha, beta]), monoid=m)
-    return {"monoid": m, "ra": ra}
+    return cases(suite_min_dfa(3, 4))
 
 
 def test_full_tn_tightness():
-    expected = {4: 250, 5: 3115, 6: 46641}
     measured = {}
-    for n in (4, 5, 6):
-        gens = tn_generators(n)
-        m = closure(gens)
-        assert len(m) == n**n
-        measured[n] = minimize(root_automaton(dfa_based_on(gens), monoid=m).dfa).n
-    ok = measured == expected
+    for n, size, states in ((4, "256", "250"), (5, "3125", "3115"), (6, "46656", "46641")):
+        c = cases(suite_full_tn(n))
+        assert c["monoid-is-full"].measured == c["monoid-is-full"].expected == size
+        assert c["root-state-complexity"].expected == states
+        measured[n] = c["root-state-complexity"].measured
+    ok = measured == {4: "250", 5: "3115", 6: "46641"}
     assert report("1 full-monoid tightness", ok, f"n=4,5,6 -> {measured}")
-    for n in (4, 5, 6):
-        assert measured[n] == n**n - binomial(n, 2)
+
+
+def _min_dfa_ok(c, size, states):
+    size_case, sc_case = c["monoid-size-vs-formula"], c["root-state-complexity"]
+    ok = size_case.measured == size_case.expected == size and sc_case.measured == sc_case.expected == states
+    return ok, f"|M|={size_case.measured}, formula={size_case.expected}, sc={sc_case.measured}"
 
 
 def test_min_dfa_theorem_2_3():
-    m = closure(ukl_generators(2, 3))
-    formula = ukl_size_formula(2, 3)
-    sc = minimize(root_automaton(dfa_based_on(ukl_generators(2, 3)), monoid=m).dfa).n
-    ok = len(m) == formula == 1857 and sc == formula - binomial(5, 2) == 1847
-    assert report("2a minimal root automaton (2,3)", ok, f"|M|={len(m)}, formula={formula}, sc={sc}")
+    ok, details = _min_dfa_ok(cases(suite_min_dfa(2, 3)), "1857", "1847")
+    assert report("2a minimal root automaton (2,3)", ok, details)
 
 
 def test_min_dfa_theorem_3_4(u34):
-    m = u34["monoid"]
-    formula = ukl_size_formula(3, 4)
-    sc = minimize(u34["ra"].dfa).n
-    ok = len(m) == formula == 607285 and sc == formula - binomial(7, 2) == 607264
-    assert report("2b minimal root automaton (3,4)", ok, f"|M|={len(m)}, formula={formula}, sc={sc}")
+    ok, details = _min_dfa_ok(u34, "607285", "607264")
+    assert report("2b minimal root automaton (3,4)", ok, details)
 
 
-def _equivalence_structure(ra, n):
-    blocks = nerode_partition(ra.dfa)
-    pairs = [b for b in blocks if len(b) == 2]
-    larger = [b for b in blocks if len(b) > 2]
-    shapes_ok = True
-    for b in pairs:
-        eta, theta = ra.element_of(b[0]), ra.element_of(b[1])
-        if eta.rank() != 2 or eta.complement() != theta or not eta.is_unique(eta(1)):
-            shapes_ok = False
-    return len(pairs), len(larger), shapes_ok
+def _equivalence_structure_ok(c, npairs, nclasses):
+    pairs, larger = c["two-element-classes"], c["no-larger-classes"]
+    shapes_ok = c["pair-shape"].passed and c["pair-shape"].measured == "all conform"
+    ok = (
+        pairs.measured == pairs.expected == npairs
+        and larger.measured == larger.expected == "0"
+        and shapes_ok
+        and c["class-count"].measured == c["class-count"].expected == nclasses
+    )
+    return ok, f"{pairs.measured} complement pairs, {larger.measured} larger classes, shapes ok: {shapes_ok}"
 
 
 def test_equivalence_class_structure_2_3():
-    ra = root_automaton(dfa_based_on(ukl_generators(2, 3)))
-    npairs, nlarger, shapes_ok = _equivalence_structure(ra, 5)
-    ok = npairs == 10 and nlarger == 0 and shapes_ok
-    assert report(
-        "3a equivalence classes (2,3)",
-        ok,
-        f"{npairs} complement pairs, {nlarger} larger classes, shapes ok: {shapes_ok}",
-    )
+    ok, details = _equivalence_structure_ok(cases(suite_min_dfa(2, 3)), "10", "1847")
+    assert report("3a equivalence classes (2,3)", ok, details)
 
 
 def test_equivalence_class_structure_3_4(u34):
-    npairs, nlarger, shapes_ok = _equivalence_structure(u34["ra"], 7)
-    ok = npairs == 21 and nlarger == 0 and shapes_ok
-    assert report(
-        "3b equivalence classes (3,4)",
-        ok,
-        f"{npairs} complement pairs, {nlarger} larger classes, shapes ok: {shapes_ok}",
-    )
+    ok, details = _equivalence_structure_ok(u34, "21", "607264")
+    assert report("3b equivalence classes (3,4)", ok, details)
 
 
 def test_gap_lemma():
-    margins = [ukl_gap(n) - binomial(n, 2) for n in range(7, 41)]
-    formula_gap = ukl_gap(7)
-    enum_gap = len(closure(ukl_generators(2, 5))) - len(closure(ukl_generators(5, 2)))
-    ok = all(m >= 0 for m in margins) and enum_gap == formula_gap == 218074
+    c = cases(suite_gap(40))
+    margin, enum = c["gap-at-least-binom"], c["enumeration-crosscheck-n=7"]
+    ok = (
+        margin.passed
+        and margin.expected == "gap - C(n,2) >= 0 for 7 <= n <= 40"
+        and enum.measured == enum.expected == "218074"
+        and c["formula-vs-enumeration-(2,5)"].measured == "610871"
+        and c["formula-vs-enumeration-(5,2)"].measured == "392797"
+    )
     assert report(
         "4 size gap of the mirrored pair",
         ok,
-        f"min margin {min(margins)} over n=7..40; enumerated gap at n=7: {enum_gap}",
+        f"{margin.measured} over n=7..40; enumerated gap at n=7: {enum.measured}",
     )
 
 
 def test_analytic_lower_bound():
-    slacks = []
-    for n in range(7, 31):
-        best = max(
-            ukl_size_formula(k, n - k)
-            for k in range(2, n - 1)
-            if math.gcd(k, n - k) == 1
-        )
-        slacks.append(best - hk_lower_bound(n))
-    ok = all(s >= 0 for s in slacks)
-    assert report("5 analytic lower bound n=7..30", ok, f"min slack {min(slacks):.4g}")
+    c = cases(suite_lower_bound(30))["analytic-lower-bound"]
+    ok = c.passed and c.expected == "max |U| >= bound for 7 <= n <= 30" and c.measured.startswith("holds")
+    assert report("5 analytic lower bound n=7..30", ok, c.measured)
 
 
 def test_unary_tightness_and_agreement():
@@ -193,20 +173,17 @@ def test_power_oracle_soundness_containment_idempotence():
 
 
 def test_stirling_function_count_identity():
-    ok = all(
-        sum(binomial(m, i) * factorial(i) * stirling2(n, i) for i in range(n + 1)) == m**n
-        for n in range(1, 13)
-        for m in range(1, 13)
-    )
+    c = cases(suite_counting())["function-count-identity"]
+    ok = c.passed and c.expected == "sum C(m,i) i! S(n,i) == m^n, n,m <= 12" and c.measured == "holds"
     assert report("8a map-counting identity", ok, "sum C(m,i) i! S(n,i) == m^n for n,m <= 12")
 
 
 def test_stirling_split_identity_corrected():
-    ok = all(
-        stirling2(n, i)
-        == stirling2(n - 2, i - 2) + (2 * i - 1) * stirling2(n - 2, i - 1) + i * i * stirling2(n - 2, i)
-        for n in range(2, 61)
-        for i in range(2, n + 1)
+    c = cases(suite_counting())["two-step-split-identity"]
+    ok = (
+        c.passed
+        and c.expected == "S(n,i) == S(n-2,i-2) + (2i-1) S(n-2,i-1) + i^2 S(n-2,i), n <= 60"
+        and c.measured == "holds"
     )
     assert report("8b two-step split, i^2 coefficient", ok, "holds for 2 <= i <= n <= 60")
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from regroot import parse
+from regroot import parse, verify
 from regroot.cli import main
 
 from conftest import EXAMPLE_DFA_TEXT
@@ -72,6 +72,11 @@ class TestRoot:
     def test_budget_exceeded(self, example_path, capsys):
         assert main(["root", example_path, "--max-elements", "100"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_cap_below_one_is_rejected(self, example_path, capsys):
+        assert main(["root", example_path, "--max-elements", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert "-5" in err and "positive" in err and "exceeds" not in err
 
 
 class TestUnaryRootAndMinimize:
@@ -177,6 +182,26 @@ class TestVerify:
 
     def test_over_budget_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "full-tn", "--max-n", "9"]) == 2
+
+    def test_budget_is_checked_before_any_run(self, monkeypatch, capsys):
+        calls = []
+        _, budget, runs = verify.SUITES["full-tn"]
+        monkeypatch.setitem(verify.SUITES, "full-tn", (lambda n: calls.append(n), budget, runs))
+        assert main(["verify", "--suite", "full-tn", "--max-n", "9"]) == 2
+        assert calls == []
+        assert "1 <= n <= 6, got 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["full-tn", "min-dfa", "unary", "gap", "lower-bound"])
+    def test_max_n_zero_is_not_the_default(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--max-n", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_equivalence_cases_print_under_min_dfa(self, capsys):
+        assert main(["verify", "--suite", "equivalence"]) == 2
+        assert main(["verify", "--suite", "min-dfa", "--max-n", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("suite min-dfa") == 1
+        assert "two-element-classes" in out and "expected 10  measured 10" in out
 
     def test_pair_selection(self, capsys):
         assert main(["verify", "--suite", "min-dfa", "-k", "2", "-l", "3"]) == 0

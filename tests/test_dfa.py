@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regroot import (
     Dfa,
@@ -166,6 +167,22 @@ class TestMinimize:
     def test_minimal_form_is_canonical(self, d):
         m = minimize(d)
         assert minimize(m) == m
+
+    @given(small_dfas(), st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_relabelled_states_minimize_alike(self, d, rng):
+        perm = list(range(1, d.n + 1))
+        rng.shuffle(perm)
+        new = {q: perm[q - 1] for q in range(1, d.n + 1)}
+        old = {p: q for q, p in new.items()}
+        delta = tuple(tuple(new[row[old[p] - 1]] for p in range(1, d.n + 1)) for row in d.delta)
+        relabelled = Dfa(d.n, d.alphabet, delta, new[d.start], frozenset(new[q] for q in d.finals))
+        assert minimize(relabelled) == minimize(d)
+
+    @given(small_dfas())
+    @settings(max_examples=60)
+    def test_class_count_is_the_minimal_size(self, d):
+        assert len(nerode_partition(d)) == minimize(d).n
 
 
 class TestEquivalent:

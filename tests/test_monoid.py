@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from regroot import (
     ukl_generators,
     ukl_member,
 )
-from regroot.monoid import _pi2
+from regroot.monoid import _alpha_power_rows, _pi2
 
 
 def all_maps(n):
@@ -60,6 +61,11 @@ class TestClosure:
     def test_budget_cap(self):
         with pytest.raises(ClosureBudgetError):
             closure(tn_generators(4), max_elements=100)
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5])
+    def test_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match=f"positive integer, got {cap}"):
+            closure(tn_generators(2), max_elements=cap)
 
     def test_closed_under_sampled_products(self):
         a, b = ukl_generators(2, 3)
@@ -186,6 +192,13 @@ class TestUklMember:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             ukl_member(identity(4), 2, 3)
+
+    def test_alpha_powers_are_the_closure_of_alpha(self):
+        for k, l in itertools.product(range(2, 9), repeat=2):
+            if math.gcd(k, l) == 1:
+                alpha = cycle_pair(k, l)
+                powers = {tuple(alpha**i) for i in range(k * l)}
+                assert _alpha_power_rows(k, l) == powers
 
 
 class TestLargestTwoGenerated:

@@ -8,6 +8,8 @@ from regroot import (
     Transformation,
     accepting_transformation,
     accepts,
+    closure,
+    cycle_pair,
     dfa_based_on,
     equivalent,
     identity,
@@ -17,6 +19,7 @@ from regroot import (
     root_state_complexity,
     tn_generators,
     transformation_monoid,
+    ukl_generators,
     unary_root,
 )
 
@@ -85,6 +88,12 @@ class TestRootAutomaton:
     def test_precomputed_monoid_degree_checked(self, example_dfa):
         with pytest.raises(ValueError):
             root_automaton(example_dfa, monoid=transformation_monoid(single_word_dfa(3)))
+
+    def test_precomputed_monoid_missing_a_product(self):
+        # the powers of the double cycle alone miss every product with beta
+        d = dfa_based_on(ukl_generators(2, 3))
+        with pytest.raises(ValueError, match="not closed"):
+            root_automaton(d, monoid=closure([cycle_pair(2, 3)]))
 
     def test_containment_of_the_base_language(self, example_dfa):
         ra = root_automaton(example_dfa)

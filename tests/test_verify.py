@@ -6,7 +6,6 @@ from regroot import (
     Case,
     VerifyReport,
     suite_counting,
-    suite_equivalence_structure,
     suite_full_tn,
     suite_gap,
     suite_lower_bound,
@@ -14,6 +13,7 @@ from regroot import (
     suite_start_final_variation,
     suite_unary,
 )
+from regroot.verify import SUITES
 
 
 def case_by_name(report, name):
@@ -50,25 +50,34 @@ class TestReportPlumbing:
 
 
 class TestEquivalenceStructure:
+    # The equivalence-structure cases are part of the min-dfa suite.
     def test_2_3(self):
-        r = suite_equivalence_structure(2, 3)
+        r = suite_min_dfa(2, 3)
         assert r.passed
         assert case_by_name(r, "two-element-classes").measured == "10"
         assert case_by_name(r, "class-count").measured == "1847"
 
     def test_budget_and_input_checks(self):
         with pytest.raises(ValueError):
-            suite_equivalence_structure(2, 2)
+            suite_min_dfa(2, 2)
         with pytest.raises(ValueError):
-            suite_equivalence_structure(3, 2)  # needs l >= 3
+            suite_min_dfa(3, 2)  # needs l >= 3
         with pytest.raises(ValueError):
-            suite_equivalence_structure(4, 5)  # over the n <= 7 budget
+            suite_min_dfa(4, 5)  # over the n <= 7 budget
 
 
 class TestMinDfa:
     def test_2_3(self):
         r = suite_min_dfa(2, 3)
         assert r.passed
+        assert [c.name for c in r.cases] == [
+            "class-count",
+            "monoid-size-vs-formula",
+            "no-larger-classes",
+            "pair-shape",
+            "root-state-complexity",
+            "two-element-classes",
+        ]
         assert case_by_name(r, "monoid-size-vs-formula").expected == "1857"
         assert case_by_name(r, "root-state-complexity").measured == "1847"
 
@@ -121,6 +130,8 @@ class TestCountingSuites:
         r = suite_gap(10)
         assert r.passed
         assert case_by_name(r, "enumeration-crosscheck-n=7").expected == "218074"
+        assert case_by_name(r, "formula-vs-enumeration-(2,5)").measured == "610871"
+        assert case_by_name(r, "formula-vs-enumeration-(5,2)").measured == "392797"
 
     def test_lower_bound_reduced_budget(self):
         r = suite_lower_bound(12)
@@ -140,4 +151,16 @@ def test_counting_suite_passes():
     assert r.passed
     names = [c.name for c in r.cases]
     assert names == sorted(names)
-    assert "formula-vs-enumeration-(3,4)" in names
+    # (2,3) and (3,4) are enumerated by the min-dfa suite, (2,5) and (5,2)
+    # by the gap suite.
+    assert [n for n in names if n.startswith("formula-vs-enumeration")] == [
+        "formula-vs-enumeration-(3,2)"
+    ]
+
+
+def test_every_default_run_is_within_its_budget():
+    for _, budget, runs in SUITES.values():
+        assert runs
+        for run in runs:
+            budget(*run)
+    assert SUITES["min-dfa"][2] == ((2, 3), (3, 4))
