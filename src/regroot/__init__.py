@@ -9,7 +9,6 @@ the tight bounds that the transformation-monoid view yields.
 from .counting import (
     best_coprime_pair,
     binomial,
-    factorial,
     hk_bracket,
     hk_lower_bound,
     stirling2,
@@ -47,7 +46,7 @@ from .root import (
     root_state_complexity,
     unary_root,
 )
-from .transform import MAX_DEGREE, Transformation, compose, cycle_pair, identity
+from .transform import MAX_DEGREE, Transformation, cycle_pair, identity
 from .verify import (
     Case,
     VerifyReport,
@@ -77,11 +76,9 @@ __all__ = [
     "best_coprime_pair",
     "binomial",
     "closure",
-    "compose",
     "cycle_pair",
     "dfa_based_on",
     "equivalent",
-    "factorial",
     "hk_bracket",
     "hk_lower_bound",
     "identity",

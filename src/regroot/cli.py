@@ -116,7 +116,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_largest2(args) -> int:
-    size, (f, g) = largest_two_generated(args.n, max_n=args.max_n)
+    size, (f, g) = largest_two_generated(args.n)
     print(f"max={size}")
     print(f"generators {f.one_row()} {g.one_row()}")
     return 0
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("largest2", help="exhaustive largest two-generated submonoid")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=4, help="degree budget for the search")
     p.set_defaults(func=cmd_largest2)
 
     p = sub.add_parser("verify", help="run a reproduction suite")

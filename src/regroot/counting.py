@@ -41,12 +41,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def factorial(n: int) -> int:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    return math.factorial(n)
-
-
 def _ukl_size_raw(k: int, l: int) -> int:
     # Closed form for the size of the two-generated near-full monoid:
     #   kl + sum_i (C(n,i) - C(k,i-l)) (S(n,i) - sum_r S(k,r) S(l,i-r)) i!
@@ -58,7 +52,7 @@ def _ukl_size_raw(k: int, l: int) -> int:
         inner = stirling2(n, i) - sum(
             stirling2(k, r) * stirling2(l, i - r) for r in range(1, i + 1)
         )
-        total += outer * inner * factorial(i)
+        total += outer * inner * math.factorial(i)
     return total
 
 

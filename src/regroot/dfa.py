@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .transform import MAX_DEGREE, Transformation, _make
+from .transform import MAX_DEGREE, Transformation, _as_int, _as_points, _make
 
 
 class DfaParseError(ValueError):
@@ -46,9 +46,9 @@ class Dfa:
     finals: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n, "state count"))
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        object.__setattr__(self, "finals", frozenset(self.finals))
+        delta = tuple(tuple(row) for row in self.delta)
         if self.n < 1:
             raise ValueError("a DFA needs at least one state")
         if not self.alphabet:
@@ -58,19 +58,18 @@ class Dfa:
         for a in self.alphabet:
             if not a or a.split() != [a]:
                 raise ValueError(f"letter {a!r} is not a single token")
-        if len(self.delta) != len(self.alphabet):
+        if len(delta) != len(self.alphabet):
             raise ValueError("need exactly one transition row per letter")
-        for a, row in zip(self.alphabet, self.delta):
+        for a, row in zip(self.alphabet, delta):
             if len(row) != self.n:
                 raise ValueError(f"transition row for {a!r} has {len(row)} entries, expected {self.n}")
-            for q in row:
-                if not isinstance(q, int) or not 1 <= q <= self.n:
-                    raise ValueError(f"state {q} out of range 1..{self.n}")
+        # Every state passes through operator.index, so numpy integers are
+        # stored as ints and bools and floats are refused.
+        object.__setattr__(self, "delta", tuple(_as_points(row, self.n, "state") for row in delta))
+        object.__setattr__(self, "start", _as_int(self.start, "start state"))
         if not 1 <= self.start <= self.n:
             raise ValueError(f"start state {self.start} out of range 1..{self.n}")
-        for q in self.finals:
-            if not isinstance(q, int) or not 1 <= q <= self.n:
-                raise ValueError(f"state {q} out of range 1..{self.n}")
+        object.__setattr__(self, "finals", frozenset(_as_points(self.finals, self.n, "state")))
 
     @cached_property
     def _letter_pos(self) -> dict[str, int]:
@@ -81,9 +80,6 @@ class Dfa:
             return self._letter_pos[a]
         except KeyError:
             raise ValueError(f"unknown letter {a!r}") from None
-
-    def transition(self, q: int, a: str) -> int:
-        return self.delta[self.letter_index(a)][q - 1]
 
     def letter_transformation(self, a: str) -> Transformation:
         return Transformation(self.delta[self.letter_index(a)])
@@ -226,36 +222,33 @@ def _reachable(d: Dfa) -> list[int]:
     return order
 
 
-def _refine(succ: np.ndarray, fin: np.ndarray) -> tuple[np.ndarray, int]:
-    # Moore partition refinement; succ is (letters, m) of 0-based successors.
-    m = succ.shape[1]
-    cls = fin.astype(np.int64)
-    ncls = len(np.unique(cls))
-    keys = np.empty((m, succ.shape[0] + 1), dtype=np.int64)
-    while True:
-        keys[:, 0] = cls
-        for j in range(succ.shape[0]):
-            keys[:, j + 1] = cls[succ[j]]
-        _, new_cls = np.unique(keys, axis=0, return_inverse=True)
-        new_cls = new_cls.reshape(-1)
-        new_n = int(new_cls.max()) + 1
-        if new_n == ncls:
-            return new_cls, new_n
-        cls, ncls = new_cls, new_n
+def _partition(d: Dfa) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The reachable states in first-reach order, and three arrays over them.
 
-
-def _reachable_refined(d: Dfa) -> tuple[list[int], np.ndarray, np.ndarray, int]:
+    succ[j, i] is the 0-based position in that order of the successor of
+    order[i] on letter j, fin[i] tells whether order[i] is final, and
+    cls[i] in 0..ncls-1 is its Nerode class.  The classes come from Moore
+    rounds on 1-D keys: each letter in turn folds the successor's class
+    into the key, key * ncls + cls[succ[j]], which is injective because
+    cls < ncls and stays below m * m.  A round that splits no class ends
+    the refinement.
+    """
     order = _reachable(d)
-    pos = {q: i for i, q in enumerate(order)}
-    m = len(order)
-    k = len(d.alphabet)
-    succ = np.empty((k, m), dtype=np.int64)
-    for a in range(k):
-        row = d.delta[a]
-        succ[a] = [pos[row[q - 1]] for q in order]
-    fin = np.fromiter((q in d.finals for q in order), dtype=bool, count=m)
-    cls, ncls = _refine(succ, fin)
-    return order, succ, cls, ncls
+    states = np.array(order)
+    pos = np.zeros(d.n + 1, dtype=np.int64)
+    pos[states] = np.arange(len(order))
+    succ = pos[np.array(d.delta, dtype=np.int64)[:, states - 1]]
+    fin = np.isin(states, list(d.finals))
+    _, cls = np.unique(fin, return_inverse=True)
+    ncls = int(cls.max()) + 1
+    while True:
+        key = cls
+        for s in succ:
+            _, key = np.unique(key * ncls + cls[s], return_inverse=True)
+        new_n = int(key.max()) + 1
+        if new_n == ncls:
+            return order, succ, fin, cls
+        cls, ncls = key, new_n
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -265,28 +258,24 @@ def minimize(d: Dfa) -> Dfa:
     result is renumbered by order of first reach via lexicographically
     smallest words, so two equivalent inputs minimize to equal values.
     """
-    order, succ, cls, ncls = _reachable_refined(d)
-    # order lists the states by first reach, so numbering the classes by
-    # first appearance in it numbers them by first reach too; the first
-    # member of each class stands for it.
-    cls_l = cls.tolist()
-    number: dict[int, int] = {}
-    reps: list[int] = []
-    for i, c in enumerate(cls_l):
-        if c not in number:
-            number[c] = len(reps) + 1
-            reps.append(i)
-    delta = tuple(tuple(number[cls_l[row[i]]] for i in reps) for row in succ.tolist())
-    finals = frozenset(j for j, i in enumerate(reps, 1) if order[i] in d.finals)
-    return Dfa(ncls, d.alphabet, delta, 1, finals)
+    _, succ, fin, cls = _partition(d)
+    # The first member of each class in reach order stands for it, and
+    # the classes are numbered 1.. in the order of their representatives.
+    _, reps = np.unique(cls, return_index=True)
+    reps.sort()
+    number = np.empty(len(reps), dtype=np.int64)
+    number[cls[reps]] = np.arange(1, len(reps) + 1)
+    delta = number[cls[succ[:, reps]]].tolist()
+    finals = (np.flatnonzero(fin[reps]) + 1).tolist()
+    return Dfa(len(reps), d.alphabet, delta, 1, finals)
 
 
 def nerode_partition(d: Dfa) -> list[list[int]]:
     """Equivalence classes of the reachable states, as sorted state lists."""
-    order, _, cls, ncls = _reachable_refined(d)
-    blocks: list[list[int]] = [[] for _ in range(ncls)]
-    for idx, c in enumerate(cls.tolist()):
-        blocks[c].append(order[idx])
+    order, _, _, cls = _partition(d)
+    blocks: list[list[int]] = [[] for _ in range(int(cls.max()) + 1)]
+    for q, c in zip(order, cls.tolist()):
+        blocks[c].append(q)
     for b in blocks:
         b.sort()
     blocks.sort(key=lambda b: b[0])

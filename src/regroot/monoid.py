@@ -18,6 +18,7 @@ from .dfa import Dfa
 from .transform import Transformation, _make, cycle_pair, identity
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
+LARGEST2_MAX_N = 4
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -44,7 +45,12 @@ class TransMonoid:
         return len(self._rows)
 
     def __iter__(self):
-        return (_make(row) for row in self._rows)
+        """The elements in order, as their stored image rows.
+
+        The rows are plain tuples, which compare and hash equal to the
+        Transformation of the same images; element(i) returns that.
+        """
+        return iter(self._rows)
 
     def __contains__(self, f) -> bool:
         return tuple(f) in self._index
@@ -197,19 +203,18 @@ def ukl_member(g, k: int, l: int) -> bool:
     return any(row[i] == row[j] for i in range(k) for j in range(k, n))
 
 
-def largest_two_generated(n: int, *, max_n: int = 4) -> tuple[int, tuple[Transformation, Transformation]]:
+def largest_two_generated(n: int) -> tuple[int, tuple[Transformation, Transformation]]:
     """Exhaustive maximum closure size over all generator pairs of degree n.
 
     The search runs over all unordered pairs in index space with a
-    precomputed composition table; n is budget-capped because the pair
-    count grows as n^(2n).
+    precomputed composition table; n is budgeted to LARGEST2_MAX_N because
+    the pair count grows as n^(2n).
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"invalid degree {n!r}")
-    if n > max_n:
+    if n > LARGEST2_MAX_N:
         raise ValueError(
-            f"exhaustive pair search at degree {n} is over the budget (max_n={max_n}); "
-            f"pass a larger max_n to force it"
+            f"exhaustive pair search at degree {n} is over the budget of n <= {LARGEST2_MAX_N}"
         )
     els = sorted(itertools.product(range(1, n + 1), repeat=n))
     index = {e: i for i, e in enumerate(els)}

@@ -7,7 +7,36 @@ written left to right, i.e. ``(f * g)(q) == g(f(q))``: f acts first.
 
 from __future__ import annotations
 
+import operator
+
 MAX_DEGREE = 255
+
+
+def _as_int(v, what: str) -> int:
+    # v as a plain int; bools, floats and other non-integers are refused.
+    if type(v) is not bool:
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {v!r} is not an integer")
+
+
+def _as_points(values, n: int, what: str) -> tuple[int, ...]:
+    # The values as plain ints in 1..n, numpy integers included; a
+    # ValueError names the first value that is not.  Rows of plain ints
+    # in range, the common case, return after one pass.
+    out = tuple(values)
+    for v in out:
+        if type(v) is not int or not 1 <= v <= n:
+            break
+    else:
+        return out
+    out = tuple(_as_int(v, what) for v in out)
+    for v in out:
+        if not 1 <= v <= n:
+            raise ValueError(f"{what} {v} out of range 1..{n}")
+    return out
 
 
 class Transformation(tuple):
@@ -21,16 +50,13 @@ class Transformation(tuple):
     __slots__ = ()
 
     def __new__(cls, images) -> "Transformation":
-        t = tuple.__new__(cls, images)
-        n = len(t)
+        images = tuple(images)
+        n = len(images)
         if n < 1:
             raise ValueError("a transformation needs degree at least 1")
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-        for v in t:
-            if not isinstance(v, int) or not 1 <= v <= n:
-                raise ValueError(f"image value {v!r} outside 1..{n}")
-        return t
+        return tuple.__new__(cls, _as_points(images, n, "image value"))
 
     @property
     def degree(self) -> int:
@@ -112,15 +138,6 @@ def identity(n: int) -> Transformation:
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
     return _make(range(1, n + 1))
-
-
-def compose(f: Transformation, g: Transformation) -> Transformation:
-    """Left-to-right composition: compose(f, g)(q) == g(f(q))."""
-    if not isinstance(f, Transformation):
-        f = Transformation(f)
-    if not isinstance(g, Transformation):
-        g = Transformation(g)
-    return f * g
 
 
 def cycle_pair(k: int, l: int) -> Transformation:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +7,6 @@ from regroot import (
     Dfa,
     DfaParseError,
     accepts,
-    compose,
     equivalent,
     identity,
     minimize,
@@ -122,9 +122,7 @@ class TestRun:
         w1 = d.alphabet * 2
         u = word_transformation(d, w1)
         for a in d.alphabet:
-            assert word_transformation(d, tuple(w1) + (a,)) == compose(
-                u, word_transformation(d, (a,))
-            )
+            assert word_transformation(d, tuple(w1) + (a,)) == u * word_transformation(d, (a,))
 
     @given(small_dfas())
     def test_acceptance_matches_word_map(self, d):
@@ -251,3 +249,32 @@ def test_validation_rejects_broken_tables():
         Dfa(2, ("a",), ((1, 2),), 3, frozenset())
     with pytest.raises(ValueError):
         Dfa(2, ("a",), ((1, 2),), 1, frozenset({5}))
+
+
+class TestStatesAreIntegers:
+    # Every state passes through operator.index: integer types are stored
+    # as ints, and bools and floats are refused with a ValueError.
+    def test_float_start_is_rejected(self):
+        with pytest.raises(ValueError, match=r"start state 1\.0 is not an integer"):
+            Dfa(2, ("a",), ((2, 1),), 1.0, frozenset())
+
+    def test_bool_start_is_rejected(self):
+        with pytest.raises(ValueError, match="start state True is not an integer"):
+            Dfa(2, ("a",), ((2, 1),), True, frozenset())
+
+    def test_bool_final_is_rejected(self):
+        with pytest.raises(ValueError, match="state True is not an integer"):
+            Dfa(2, ("a",), ((2, 1),), 1, frozenset({True}))
+
+    def test_bool_successor_is_rejected(self):
+        with pytest.raises(ValueError, match="state True is not an integer"):
+            Dfa(2, ("a",), ((2, True),), 1, frozenset())
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        d = Dfa(np.int64(2), ("a",), (np.array([2, 1]),), np.int64(1), {np.int64(2)})
+        assert d == Dfa(2, ("a",), ((2, 1),), 1, frozenset({2}))
+        assert {type(q) for q in (d.n, d.start, *d.finals, *d.delta[0])} == {int}
+
+    def test_numpy_integer_out_of_range_names_it(self):
+        with pytest.raises(ValueError, match=r"start state 3 out of range 1\.\.2"):
+            Dfa(2, ("a",), ((2, 1),), np.int64(3), frozenset())

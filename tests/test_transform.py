@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regroot import Transformation, compose, cycle_pair, identity
+from regroot import Transformation, cycle_pair, identity
 
 from conftest import same_degree_triples, transformations
 
@@ -35,9 +36,24 @@ def test_validation_rejects_out_of_range_entries():
         Transformation([])
 
 
+def test_bool_images_are_rejected():
+    with pytest.raises(ValueError, match="image value True is not an integer"):
+        Transformation((True, True))
+
+
+def test_float_images_are_rejected():
+    with pytest.raises(ValueError, match=r"image value 2\.0 is not an integer"):
+        Transformation((1, 2.0))
+
+
+def test_numpy_images_are_stored_as_ints():
+    f = Transformation(np.array([2, 1, 1]))
+    assert f == (2, 1, 1)
+    assert {type(v) for v in f} == {int}
+
+
 def test_compose_applies_left_operand_first():
     assert ALPHA * BETA == (3, 2, 1, 2, 4)
-    assert compose(ALPHA, BETA) == (3, 2, 1, 2, 4)
     # the other order differs
     assert BETA * ALPHA == (1, 4, 5, 2, 1)
 
