@@ -273,13 +273,16 @@ def minimize(d: Dfa) -> Dfa:
 def nerode_partition(d: Dfa) -> list[list[int]]:
     """Equivalence classes of the reachable states, as sorted state lists."""
     order, _, _, cls = _partition(d)
-    blocks: list[list[int]] = [[] for _ in range(int(cls.max()) + 1)]
-    for q, c in zip(order, cls.tolist()):
-        blocks[c].append(q)
-    for b in blocks:
-        b.sort()
-    blocks.sort(key=lambda b: b[0])
-    return blocks
+    states = np.array(order)
+    # Members sorted by class, then by state; each class is one run, and
+    # the runs are listed by their first, i.e. smallest, state.
+    by_class = np.lexsort((states, cls))
+    members = states[by_class]
+    starts = np.flatnonzero(np.diff(cls[by_class], prepend=-1))
+    ends = np.append(starts[1:], len(members))
+    first = np.argsort(members[starts])
+    members = members.tolist()
+    return [members[a:b] for a, b in zip(starts[first].tolist(), ends[first].tolist())]
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:

@@ -1,21 +1,32 @@
 """Transformation monoids: closure enumeration and generator families.
 
-The closure of a generator set is computed by a breadth-first work queue,
-composing each frontier element with each generator on the right; every
-product of generators is reachable that way.  Elements are deduplicated
-by their image rows and stored identity-first, the rest in lexicographic
-order, so the result does not depend on generator order.
+A monoid of degree n is stored as one (m, n) uint8 array of 1-based image
+rows: the identity first, then the other elements sorted
+lexicographically, so the numbering does not depend on generator order.
+Each row's n bytes, read as a numpy ``S{n}`` string, are its key.  numpy
+compares such strings bytewise as unsigned values, so key order is the
+lexicographic order of the rows; the images are 1..n <= MAX_DEGREE = 255
+and never 0, so the trailing NULs numpy strips from ``S`` values never
+merge two keys.
+
+The closure of a generator set is a breadth-first search one frontier at
+a time: the frontier's rows, packed into one bytes buffer, are composed
+with a generator g by a single ``bytes.translate`` through the 256-byte
+table v -> g(v), and the products are deduplicated as bytes in a set.
+Every product of generators is reachable that way.  One sort of the keys
+gives the canonical order at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from functools import lru_cache
 
+import numpy as np
+
 from .dfa import Dfa
-from .transform import Transformation, _make, cycle_pair, identity
+from .transform import Transformation, _as_int, _make, cycle_pair, identity
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 LARGEST2_MAX_N = 4
@@ -32,61 +43,93 @@ class TransMonoid:
 
     Always contains the identity.  Elements are numbered 0..len-1 with the
     identity at 0 and the rest sorted lexicographically; this canonical
-    numbering doubles as the state numbering of root automata.
+    numbering doubles as the state numbering of root automata.  `rows` is
+    the read-only (len, degree) uint8 array of their image rows.
     """
 
-    def __init__(self, degree: int, rows: list[tuple[int, ...]], generators):
+    def __init__(self, degree: int, rows: np.ndarray, generators):
         self.degree = degree
         self.generators = tuple(generators)
-        self._rows = rows
-        self._index = {row: i for i, row in enumerate(rows)}
+        rows.flags.writeable = False
+        self.rows = rows
+        self._keys = rows.view(f"S{degree}").ravel()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def __iter__(self):
-        """The elements in order, as their stored image rows.
+        """The elements in order, as tuples of their image rows.
 
-        The rows are plain tuples, which compare and hash equal to the
-        Transformation of the same images; element(i) returns that.
+        The tuples compare and hash equal to the Transformation of the
+        same images; element(i) returns that.
         """
-        return iter(self._rows)
+        return map(tuple, self.rows.tolist())
 
     def __contains__(self, f) -> bool:
-        return tuple(f) in self._index
+        return self._position(f) is not None
 
     def element(self, i: int) -> Transformation:
-        return _make(self._rows[i])
+        return _make(self.rows[_as_int(i, "element number")].tolist())
 
     def index_of(self, f) -> int:
-        try:
-            return self._index[tuple(f)]
-        except KeyError:
-            raise ValueError(f"{tuple(f)} is not an element of this monoid") from None
+        i = self._position(f)
+        if i is None:
+            raise ValueError(f"{tuple(f)} is not an element of this monoid")
+        return i
 
-    def right_translation(self, g) -> tuple[int, ...]:
-        """The number plus one of f * g for each element f, in element order.
+    def _position(self, f) -> int | None:
+        row = tuple(f)
+        try:
+            key = bytes(row)
+        except (TypeError, ValueError):
+            return None
+        if len(key) != self.degree:
+            return None
+        i = int(self._numbers(np.array([key], self._keys.dtype))[0])
+        return i if i >= 0 else None
+
+    def _numbers(self, keys: np.ndarray) -> np.ndarray:
+        # The element number of each key, or -1 where it is no element.
+        # Keys hold no 0 byte, so NUL-padded values never match by accident.
+        own = self._keys
+        pos = np.searchsorted(own[1:], keys) + 1  # own[1:] is sorted
+        pos[keys == own[0]] = 0
+        np.minimum(pos, len(own) - 1, out=pos)
+        pos[own[pos] != keys] = -1
+        return pos
+
+    def right_translation(self, g) -> np.ndarray:
+        """The number plus one of f * g for each element f, as an array in
+        element order.
 
         That is the transition row of a letter acting as g in the root
         automaton, whose state s is element s - 1.
         """
-        index = self._index
-        try:
-            return tuple(index[tuple(g[x - 1] for x in f)] + 1 for f in self._rows)
-        except KeyError:
-            raise ValueError(f"this monoid is not closed under multiplication by {tuple(g)}") from None
+        g = g if isinstance(g, Transformation) else Transformation(g)
+        if g.degree != self.degree:
+            raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
+        products = self.rows.tobytes().translate(_table(g))
+        pos = self._numbers(np.frombuffer(products, self._keys.dtype))
+        if (pos < 0).any():
+            raise ValueError(f"this monoid is not closed under multiplication by {tuple(g)}")
+        return pos + 1
 
     def rank_histogram(self) -> dict[int, int]:
         """Count of elements per rank."""
-        hist: dict[int, int] = {}
-        for row in self._rows:
-            r = len(set(row))
-            hist[r] = hist.get(r, 0) + 1
-        return dict(sorted(hist.items()))
+        ordered = np.sort(self.rows, axis=1)
+        ranks = 1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)
+        return {r: c for r, c in enumerate(np.bincount(ranks).tolist()) if c}
 
     def __repr__(self) -> str:
         gens = ", ".join(g.one_row() for g in self.generators)
         return f"TransMonoid(degree={self.degree}, size={len(self)}, generators=[{gens}])"
+
+
+def _table(g: Transformation) -> bytes:
+    # The bytes.translate table of v -> g(v), so translating a packed row
+    # f gives the row of f * g; 0 and the values above the degree never
+    # occur in a row.
+    return bytes(1) + bytes(g) + bytes(255 - len(g))
 
 
 def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
@@ -94,29 +137,33 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
     gens = [g if isinstance(g, Transformation) else Transformation(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
-    if not isinstance(max_elements, int) or max_elements < 1:
+    try:
+        cap = _as_int(max_elements, "element cap")
+    except ValueError:
+        cap = 0
+    if cap < 1:
         raise ValueError(f"the element cap must be a positive integer, got {max_elements!r}")
     n = gens[0].degree
     for g in gens:
         if g.degree != n:
             raise ValueError(f"degree mismatch: {g.degree} vs {n}")
-    gen_rows = list(dict.fromkeys(tuple(g) for g in gens))
-    ident = tuple(range(1, n + 1))
+    tables = [_table(g) for g in dict.fromkeys(gens)]
+    key = np.dtype(f"S{n}")
+    ident = bytes(range(1, n + 1))
     seen = {ident}
-    queue = deque([ident])
-    while queue:
-        f = queue.popleft()
-        for g in gen_rows:
-            h = tuple(g[x - 1] for x in f)
-            if h not in seen:
-                if len(seen) >= max_elements:
-                    raise ClosureBudgetError(
-                        f"closure exceeds the cap of {max_elements} elements"
-                    )
-                seen.add(h)
-                queue.append(h)
-    seen.discard(ident)
-    rows = [ident] + sorted(seen)
+    frontier = ident
+    while frontier:
+        fresh = set()
+        for t in tables:
+            fresh.update(np.frombuffer(frontier.translate(t), key).tolist())
+        fresh -= seen
+        if len(seen) + len(fresh) > cap:
+            raise ClosureBudgetError(f"closure exceeds the cap of {cap} elements")
+        seen |= fresh
+        frontier = b"".join(fresh)
+    seen.remove(ident)
+    rest = np.sort(np.frombuffer(b"".join(seen), key))
+    rows = np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n)
     return TransMonoid(n, rows, gens)
 
 

@@ -5,6 +5,12 @@ a new state set: reading a word moves from the identity to the state map
 the word induces, and a map is accepting when some positive iterate of it
 takes the original start state into the original finals.  Only reachable
 maps, i.e. the transformation monoid, are ever materialized.
+
+The construction works on the monoid's packed image rows (see `monoid`):
+a letter acting as g moves element f to f * g, so its transition row is
+the monoid's right translation by g, one binary search of the product
+keys among the sorted element keys; the finals come from iterating
+q -> f(q) degree-many times over all rows at once.
 """
 
 from __future__ import annotations
@@ -12,9 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dfa import Dfa, accepts, chain_dfa, minimize, unary_structure
 from .monoid import DEFAULT_MAX_ELEMENTS, TransMonoid, transformation_monoid
-from .transform import Transformation
+from .transform import Transformation, _as_int
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,8 @@ def accepting_transformation(f, q0: int, finals) -> bool:
     trajectory has visited every state it ever will.
     """
     row = tuple(f)
+    if type(q0) is not int:
+        q0 = _as_int(q0, "state")
     if not 1 <= q0 <= len(row):
         raise ValueError(f"state {q0} out of range 1..{len(row)}")
     finals = frozenset(finals)
@@ -63,12 +73,30 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
     m = monoid if monoid is not None else transformation_monoid(d, max_elements=max_elements)
     if m.degree != d.n:
         raise ValueError(f"monoid degree {m.degree} does not match DFA size {d.n}")
-    delta = tuple(m.right_translation(g) for g in d.delta)
-    finals = frozenset(
-        s for s, f in enumerate(m, 1) if accepting_transformation(f, d.start, d.finals)
-    )
-    dfa = Dfa(len(m), d.alphabet, delta, 1, finals)
+    delta = [m.right_translation(g).tolist() for g in d.delta]
+    finals = np.flatnonzero(_accepting_rows(m.rows, d.start, d.finals)) + 1
+    dfa = Dfa(len(m), d.alphabet, delta, 1, finals.tolist())
     return RootAutomaton(dfa=dfa, monoid=m, origin=d)
+
+
+def _accepting_rows(rows: np.ndarray, q0: int, finals) -> np.ndarray:
+    # accepting_transformation(f, q0, finals) for every image row f of
+    # rows at once.  A point x of row i sits at flat position p = i*n + x-1;
+    # step[p] is the flat position of f(x) in the same row and final[p]
+    # tells whether f(x) is final, so p walks the trajectory of q0 under
+    # every f in step.
+    m, n = rows.shape
+    is_final = np.zeros(n + 1, dtype=bool)
+    is_final[list(finals)] = True
+    row_start = np.arange(-1, m * n - 1, n)
+    step = (rows + row_start[:, None]).ravel()
+    final = is_final[rows].ravel()
+    p = row_start + q0
+    hit = final[p]
+    for _ in range(n - 1):
+        p = step[p]
+        hit |= final[p]
+    return hit
 
 
 def root_member_oracle(d: Dfa, w) -> bool:

@@ -133,7 +133,8 @@ def _make(values) -> Transformation:
 
 
 def identity(n: int) -> Transformation:
-    if not isinstance(n, int) or n < 1:
+    n = _as_int(n, "degree")
+    if n < 1:
         raise ValueError(f"invalid degree {n!r}: need a positive integer")
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")

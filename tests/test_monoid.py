@@ -12,6 +12,7 @@ from regroot import (
     dfa_based_on,
     identity,
     largest_two_generated,
+    stirling2,
     tn_generators,
     transformation_monoid,
     ukl_generators,
@@ -48,7 +49,7 @@ class TestClosure:
         m1 = closure([a, b])
         m2 = closure([b, a, b, a])
         assert len(m1) == len(m2)
-        assert list(m1._rows) == list(m2._rows)
+        assert list(m1) == list(m2)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree mismatch"):
@@ -62,10 +63,15 @@ class TestClosure:
         with pytest.raises(ClosureBudgetError):
             closure(tn_generators(4), max_elements=100)
 
-    @pytest.mark.parametrize("cap", [0, -5, 2.5])
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True])
     def test_cap_below_one_is_rejected(self, cap):
         with pytest.raises(ValueError, match=f"positive integer, got {cap}"):
             closure(tn_generators(2), max_elements=cap)
+
+    def test_budget_cap_is_the_final_size(self):
+        assert len(closure(tn_generators(4), max_elements=256)) == 256
+        with pytest.raises(ClosureBudgetError, match="cap of 255 elements"):
+            closure(tn_generators(4), max_elements=255)
 
     def test_closed_under_sampled_products(self):
         a, b = ukl_generators(2, 3)
@@ -83,10 +89,31 @@ class TestClosure:
         assert rest == sorted(rest)
         assert m.index_of(identity(3)) == 0
 
+    @pytest.mark.parametrize("i", [True, 1.0])
+    def test_element_number_must_be_an_integer(self, i):
+        m = closure(tn_generators(2))
+        with pytest.raises(ValueError, match=f"element number {i} is not an integer"):
+            m.element(i)
+
     def test_index_of_rejects_outsiders(self):
         m = closure([identity(2)])
         with pytest.raises(ValueError):
             m.index_of(Transformation([2, 1]))
+
+    @pytest.mark.parametrize("row", [(1, 2, 3, 1), (1, 2), (1, 2, 0), (0, 1, 2), (1, 2, 300)])
+    def test_rows_of_other_shapes_are_not_members(self, row):
+        m = closure(tn_generators(3))
+        assert row not in m
+        with pytest.raises(ValueError, match="not an element"):
+            m.index_of(row)
+
+
+class TestRankHistogram:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_full_monoid_counts_maps_by_rank(self, n):
+        # a map of rank r: choose its image, then a surjection onto it
+        want = {r: math.comb(n, r) * math.factorial(r) * stirling2(n, r) for r in range(1, n + 1)}
+        assert closure(tn_generators(n)).rank_histogram() == want
 
 
 class TestTransformationMonoid:

@@ -51,6 +51,11 @@ class TestAcceptingTransformation:
         with pytest.raises(ValueError):
             accepting_transformation(identity(3), 4, {1})
 
+    @pytest.mark.parametrize("q0", [1.0, True])
+    def test_rejects_non_integer_start(self, q0):
+        with pytest.raises(ValueError, match=f"state {q0} is not an integer"):
+            accepting_transformation((2, 1), q0, {1})
+
 
 class TestRootAutomaton:
     def test_example_dfa_state_count(self, example_dfa):

@@ -1,0 +1,160 @@
+"""closure and root_automaton against tuple references.
+
+The references are the plain forms of both constructions: a breadth-first
+closure over image-row tuples with a set of the rows seen, and a root
+automaton whose letter rows look each product f * g up in a dict of the
+element numbers and whose finals come from accepting_transformation, one
+element at a time.
+"""
+
+from collections import deque
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regroot import (
+    Dfa,
+    accepting_transformation,
+    closure,
+    cycle_pair,
+    dfa_based_on,
+    root_automaton,
+    root_member_oracle,
+    transformation_monoid,
+    ukl_generators,
+)
+
+from conftest import small_dfas
+
+
+def reference_closure(gens) -> list[tuple[int, ...]]:
+    gens = list(dict.fromkeys(tuple(g) for g in gens))
+    ident = tuple(range(1, len(gens[0]) + 1))
+    seen = {ident}
+    queue = deque([ident])
+    while queue:
+        f = queue.popleft()
+        for g in gens:
+            h = tuple(g[x - 1] for x in f)
+            if h not in seen:
+                seen.add(h)
+                queue.append(h)
+    seen.discard(ident)
+    return [ident] + sorted(seen)
+
+
+def reference_root(d: Dfa, rows: list[tuple[int, ...]]) -> Dfa:
+    index = {row: i for i, row in enumerate(rows)}
+    try:
+        delta = tuple(
+            tuple(index[tuple(g[x - 1] for x in f)] + 1 for f in rows) for g in d.delta
+        )
+    except KeyError:
+        raise ValueError("not closed") from None
+    finals = frozenset(
+        s for s, f in enumerate(rows, 1) if accepting_transformation(f, d.start, d.finals)
+    )
+    return Dfa(len(rows), d.alphabet, delta, 1, finals)
+
+
+def check(d: Dfa) -> None:
+    m = transformation_monoid(d)
+    rows = reference_closure(d.delta)
+    assert list(m) == rows
+    assert root_automaton(d).dfa == reference_root(d, rows)
+
+
+@given(small_dfas(max_states=5))
+@settings(max_examples=200, deadline=None)
+def test_small_dfas(d):
+    check(d)
+
+
+@given(small_dfas(max_states=5), st.sampled_from(["empty", "full"]))
+@settings(deadline=None)
+def test_empty_and_full_final_sets(d, which):
+    check(replace(d, finals=() if which == "empty" else range(1, d.n + 1)))
+
+
+@given(small_dfas(max_states=8, max_letters=1))
+@settings(deadline=None)
+def test_unary_dfas(d):
+    check(d)
+
+
+@given(small_dfas(max_states=1))
+@settings(deadline=None)
+def test_one_state_dfas(d):
+    check(d)
+
+
+@given(small_dfas(max_states=4), st.integers(1, 3))
+@settings(deadline=None)
+def test_unreachable_states(d, extra):
+    # States n+1..n+extra are never reached from the start; each maps to
+    # itself on every letter and the first of them is final.
+    n = d.n + extra
+    delta = tuple(row + tuple(range(d.n + 1, n + 1)) for row in d.delta)
+    check(Dfa(n, d.alphabet, delta, d.start, d.finals | {d.n + 1}))
+
+
+@pytest.mark.parametrize("k,l", [(9, 11), (64, 67)])
+def test_high_degree_cycle_pairs(k, l):
+    # Degree 20, and degree 131 where images above 127 test that the keys
+    # order as unsigned bytes.
+    gens = [cycle_pair(k, l)]
+    rows = reference_closure(gens)
+    m = closure(gens)
+    assert len(m) == k * l
+    assert list(m) == rows
+    d = dfa_based_on(gens, finals=(1, k + 1))
+    assert root_automaton(d, monoid=m).dfa == reference_root(d, rows)
+
+
+def test_u23_with_every_start():
+    d = dfa_based_on(ukl_generators(2, 3))
+    rows = reference_closure(d.delta)
+    m = closure(d.delta)
+    assert list(m) == rows
+    for z0 in range(1, 6):
+        dz = replace(d, start=z0, finals={z0, 5})
+        assert root_automaton(dz, monoid=m).dfa == reference_root(dz, rows)
+
+
+def test_monoid_missing_a_product():
+    d = dfa_based_on(ukl_generators(2, 3))
+    rows = reference_closure([cycle_pair(2, 3)])
+    with pytest.raises(ValueError, match="not closed"):
+        reference_root(d, rows)
+    with pytest.raises(ValueError, match="not closed"):
+        root_automaton(d, monoid=closure([cycle_pair(2, 3)]))
+
+
+@given(small_dfas(max_states=4, max_letters=2))
+@settings(max_examples=100, deadline=None)
+def test_finals_element_by_element(d):
+    ra = root_automaton(d)
+    for s in range(1, ra.dfa.n + 1):
+        f = ra.element_of(s)
+        assert (s in ra.dfa.finals) == accepting_transformation(f, d.start, d.finals)
+
+
+@given(small_dfas(max_states=4, max_letters=2))
+@settings(max_examples=50, deadline=None)
+def test_finals_against_the_power_oracle(d):
+    # Every state is an element of the monoid, so some word reaches it;
+    # the state is final iff that word is in root(L).
+    ra = root_automaton(d)
+    word = {1: ()}
+    queue = deque([1])
+    while queue:
+        s = queue.popleft()
+        for a, row in zip(d.alphabet, ra.dfa.delta):
+            if row[s - 1] not in word:
+                word[row[s - 1]] = word[s] + (a,)
+                queue.append(row[s - 1])
+    assert len(word) == ra.dfa.n
+    for s, w in word.items():
+        assert (s in ra.dfa.finals) == root_member_oracle(d, w)

@@ -27,6 +27,12 @@ def test_identity_rejects_bad_degree():
         identity(256)
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_identity_rejects_non_integer_degree(n):
+    with pytest.raises(ValueError, match=f"degree {n} is not an integer"):
+        identity(n)
+
+
 def test_validation_rejects_out_of_range_entries():
     with pytest.raises(ValueError):
         Transformation([1, 4, 2])
