@@ -29,36 +29,25 @@ def _load(path: str) -> Dfa:
     return parse(Path(path).read_text(encoding="utf-8"))
 
 
-def _emit(d: Dfa, output: str | None) -> None:
+def _emit(d: Dfa, output: str | None) -> int:
     if output:
         Path(output).write_text(serialize(d), encoding="utf-8")
+    print(f"states={d.n}")
+    return 0
 
 
 def cmd_root(args) -> int:
-    d = _load(args.input)
-    out = root_automaton(d, max_elements=args.max_elements).dfa
-    if args.minimize:
-        out = minimize(out)
-    _emit(out, args.output)
-    print(f"states={out.n}")
-    return 0
+    out = root_automaton(_load(args.input), max_elements=args.max_elements).dfa
+    return _emit(minimize(out) if args.minimize else out, args.output)
 
 
 def cmd_unary_root(args) -> int:
-    d = _load(args.input)
-    out = unary_root(d)
-    if args.minimize:
-        out = minimize(out)
-    _emit(out, args.output)
-    print(f"states={out.n}")
-    return 0
+    out = unary_root(_load(args.input))
+    return _emit(minimize(out) if args.minimize else out, args.output)
 
 
 def cmd_minimize(args) -> int:
-    out = minimize(_load(args.input))
-    _emit(out, args.output)
-    print(f"states={out.n}")
-    return 0
+    return _emit(minimize(_load(args.input)), args.output)
 
 
 def cmd_monoid(args) -> int:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .transform import _as_int
+
 # Triangular memo table; row n holds the values for 0..n. Rows are only
 # ever appended, so concurrent readers always see consistent data.
 _stirling_rows: list[list[int]] = [[1]]
@@ -18,7 +20,9 @@ def stirling2(n: int, k: int) -> int:
 
     Zero whenever k > n or k < 1 (except the empty partition at n = k = 0).
     """
-    if not (isinstance(n, int) and isinstance(k, int)) or n < 0 or k < 0:
+    if type(n) is not int or type(k) is not int:
+        n, k = _as_int(n, "n"), _as_int(k, "k")
+    if n < 0 or k < 0:
         raise ValueError(f"arguments must be nonnegative integers, got ({n!r}, {k!r})")
     if k > n or (n > 0 and k < 1):
         return 0
@@ -34,7 +38,9 @@ def stirling2(n: int, k: int) -> int:
 
 
 def binomial(n: int, k: int) -> int:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or type(k) is not int:
+        n, k = _as_int(n, "n"), _as_int(k, "k")
+    if n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if k < 0 or k > n:
         return 0
@@ -56,12 +62,19 @@ def _ukl_size_raw(k: int, l: int) -> int:
     return total
 
 
+def _check_kl(k: int, l: int) -> tuple[int, int]:
+    # The cycle lengths k, l >= 2 of a two-generated monoid, coprime, as ints.
+    k, l = _as_int(k, "cycle length"), _as_int(l, "cycle length")
+    if k < 2 or l < 2:
+        raise ValueError(f"need cycle lengths k, l >= 2, got ({k}, {l})")
+    if math.gcd(k, l) != 1:
+        raise ValueError(f"cycle lengths must be coprime, got ({k}, {l})")
+    return k, l
+
+
 def ukl_size_formula(k: int, l: int) -> int:
     """Exact size of the two-generated monoid for coprime k, l >= 2."""
-    if not (isinstance(k, int) and isinstance(l, int)) or k < 2 or l < 2:
-        raise ValueError(f"need k, l >= 2, got ({k!r}, {l!r})")
-    if math.gcd(k, l) != 1:
-        raise ValueError(f"need coprime cycle lengths, got ({k}, {l})")
+    k, l = _check_kl(k, l)
     size = _ukl_size_raw(k, l)
     assert size >= 0
     return size
@@ -69,14 +82,16 @@ def ukl_size_formula(k: int, l: int) -> int:
 
 def ukl_gap(n: int) -> int:
     """Size difference between the (2, n-2) and (n-2, 2) monoids."""
-    if not isinstance(n, int) or n < 5:
+    n = _as_int(n, "n")
+    if n < 5:
         raise ValueError(f"need n >= 5, got {n!r}")
     return _ukl_size_raw(2, n - 2) - _ukl_size_raw(n - 2, 2)
 
 
 def hk_bracket(n: int) -> float:
     """The parenthesized factor of the analytic lower bound; tends to 1."""
-    if not isinstance(n, int) or n < 7:
+    n = _as_int(n, "n")
+    if n < 7:
         raise ValueError(f"the analytic bound needs n >= 7, got {n!r}")
     e112 = math.exp(1 / 12)
     return 1.0 - math.sqrt(2) * (2 / math.e) ** (n / 2) * e112 - math.sqrt(8) / math.sqrt(n) * e112
@@ -87,7 +102,7 @@ def hk_lower_bound(n: int) -> float:
 
     May be negative for small n, in which case it holds trivially.
     """
-    return float(n) ** n * hk_bracket(n)
+    return hk_bracket(n) * float(n) ** n
 
 
 def best_coprime_pair(n: int) -> tuple[int, int]:
@@ -95,7 +110,8 @@ def best_coprime_pair(n: int) -> tuple[int, int]:
 
     Ties break toward smaller k.
     """
-    if not isinstance(n, int) or n < 5:
+    n = _as_int(n, "n")
+    if n < 5:
         raise ValueError(f"no valid split below n = 5, got {n!r}")
     best: tuple[int, int] | None = None
     best_size = -1

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .counting import _check_kl
 from .dfa import Dfa
 from .transform import Transformation, _as_int, _make, cycle_pair, identity
 
@@ -178,7 +179,8 @@ def tn_generators(n: int) -> list[Transformation]:
     For n >= 3 this is the transposition (1 2), the n-cycle (1 2 ... n)
     and the rank-(n-1) map sending n to 1; smaller n need fewer maps.
     """
-    if not isinstance(n, int) or n < 1:
+    n = _as_int(n, "degree")
+    if n < 1:
         raise ValueError(f"invalid degree {n!r}")
     if n == 1:
         return [identity(1)]
@@ -188,13 +190,6 @@ def tn_generators(n: int) -> list[Transformation]:
     cyc = _make(list(range(2, n + 1)) + [1])
     collapse = _make(list(range(1, n)) + [1])
     return [swap, cyc, collapse]
-
-
-def _validate_kl(k: int, l: int) -> None:
-    if not (isinstance(k, int) and isinstance(l, int)) or k < 2 or l < 2:
-        raise ValueError(f"need cycle lengths k, l >= 2, got ({k}, {l})")
-    if math.gcd(k, l) != 1:
-        raise ValueError(f"cycle lengths must be coprime, got ({k}, {l})")
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +213,7 @@ def ukl_generators(k: int, l: int) -> tuple[Transformation, Transformation]:
     1..n-1 with a permutation completing the k-cycle to the full symmetric
     group on n-1 points, and repeats that permutation's first value at n.
     """
-    _validate_kl(k, l)
+    k, l = _check_kl(k, l)
     alpha = cycle_pair(k, l)
     pi2 = _pi2(k, l)
     beta = _make(list(pi2) + [pi2[0]])
@@ -237,7 +232,7 @@ def ukl_member(g, k: int, l: int) -> bool:
     {1..k} with some point of {k+1..n} while missing some point of
     {k+1..n} from its image.
     """
-    _validate_kl(k, l)
+    k, l = _check_kl(k, l)
     n = k + l
     row = tuple(g)
     if len(row) != n:
@@ -251,47 +246,32 @@ def ukl_member(g, k: int, l: int) -> bool:
 
 
 def largest_two_generated(n: int) -> tuple[int, tuple[Transformation, Transformation]]:
-    """Exhaustive maximum closure size over all generator pairs of degree n.
+    """Exhaustive maximum closure size over the generator pairs of degree n.
 
-    The search runs over all unordered pairs in index space with a
-    precomputed composition table; n is budgeted to LARGEST2_MAX_N because
-    the pair count grows as n^(2n).
+    Conjugating f and g by one permutation s conjugates the whole monoid
+    they generate, so its size stays the same, and every pair is conjugate
+    to one whose f is the lexicographically smallest map of its class under
+    S_n (1, 3, 7 and 19 classes for n = 1..4).  So f runs over those maps
+    and g over all n^n maps in sorted order; the first maximum is returned.
+    n is budgeted to LARGEST2_MAX_N, as the pairs grow as n^n per class.
     """
-    if not isinstance(n, int) or n < 1:
+    n = _as_int(n, "degree")
+    if n < 1:
         raise ValueError(f"invalid degree {n!r}")
     if n > LARGEST2_MAX_N:
         raise ValueError(
             f"exhaustive pair search at degree {n} is over the budget of n <= {LARGEST2_MAX_N}"
         )
-    els = sorted(itertools.product(range(1, n + 1), repeat=n))
-    index = {e: i for i, e in enumerate(els)}
-    size = len(els)
-    table = [
-        [index[tuple(g[x - 1] for x in f)] for g in els]
-        for f in els
-    ]
-    ident = index[tuple(range(1, n + 1))]
-    best = 0
-    witness = (ident, ident)
-    for i in range(size):
-        for j in range(i, size):
-            seen = bytearray(size)
-            stack = [ident]
-            seen[ident] = 1
-            count = 1
-            while stack:
-                x = stack.pop()
-                row = table[x]
-                for g in (i, j):
-                    y = row[g]
-                    if not seen[y]:
-                        seen[y] = 1
-                        count += 1
-                        stack.append(y)
-            if count > best:
-                best = count
-                witness = (i, j)
-    return best, (_make(els[witness[0]]), _make(els[witness[1]]))
+    # Row r of `points` is the map number r in sorted order, 0-based, and
+    # its base-n value is r; p[f[p^-1]] is f with each point i renamed p[i].
+    points = np.array(list(itertools.product(range(n), repeat=n))).reshape(-1, n)
+    weights = n ** np.arange(n - 1, -1, -1)
+    perms = [np.array(p) for p in itertools.permutations(range(n))]
+    smallest = np.min([p[points[:, np.argsort(p)]] @ weights for p in perms], axis=0)
+    maps = [_make(row) for row in (points + 1).tolist()]
+    firsts = [maps[r] for r in np.unique(smallest).tolist()]
+    pair = max(itertools.product(firsts, maps), key=lambda fg: len(closure(fg)))
+    return len(closure(pair)), pair
 
 
 def dfa_based_on(gens, start: int = 1, finals=(1,), letters: tuple[str, ...] | None = None) -> Dfa:

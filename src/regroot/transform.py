@@ -80,7 +80,8 @@ class Transformation(tuple):
 
     def __pow__(self, m: int) -> "Transformation":
         """m-fold composition with itself; the 0th power is the identity."""
-        if not isinstance(m, int) or m < 0:
+        m = _as_int(m, "exponent")
+        if m < 0:
             raise ValueError("power expects a nonnegative integer exponent")
         result = identity(len(self))
         base = self
@@ -143,7 +144,8 @@ def identity(n: int) -> Transformation:
 
 def cycle_pair(k: int, l: int) -> Transformation:
     """The permutation (1 2 ... k)(k+1 k+2 ... k+l) of degree k + l."""
-    if not (isinstance(k, int) and isinstance(l, int)) or k < 1 or l < 1:
+    k, l = _as_int(k, "cycle length"), _as_int(l, "cycle length")
+    if k < 1 or l < 1:
         raise ValueError("cycle lengths must be positive integers")
     n = k + l
     if n > MAX_DEGREE:

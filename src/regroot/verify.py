@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .counting import (
+    _check_kl,
     binomial,
     hk_lower_bound,
     stirling2,
@@ -25,6 +26,7 @@ from .counting import (
 from .dfa import Dfa, chain_dfa, equivalent, minimize, nerode_partition
 from .monoid import closure, dfa_based_on, tn_generators, ukl_generators
 from .root import root_automaton, unary_root
+from .transform import _as_int
 
 
 @dataclass(frozen=True)
@@ -94,17 +96,20 @@ class _Recorder:
 
 
 def _check_pair(k: int, l: int, max_total: int) -> int:
+    k, l = _check_kl(k, l)
+    if l < 3:
+        raise ValueError(f"need l >= 3, got ({k}, {l})")
     n = k + l
-    if k < 2 or l < 3 or math.gcd(k, l) != 1:
-        raise ValueError(f"need coprime k >= 2, l >= 3, got ({k}, {l})")
     if n > max_total:
         raise ValueError(f"pair ({k}, {l}) is over the budget of k + l <= {max_total}")
     return n
 
 
-def _check_range(suite: str, param: str, value, lo: int, hi: int) -> None:
-    if not isinstance(value, int) or not lo <= value <= hi:
+def _check_range(suite: str, param: str, value, lo: int, hi: int) -> int:
+    value = _as_int(value, param)
+    if not lo <= value <= hi:
         raise ValueError(f"{suite} is budgeted to {lo} <= {param} <= {hi}, got {value!r}")
+    return value
 
 
 # The budget of each suite, a check of its positional arguments that it
@@ -166,7 +171,7 @@ def suite_min_dfa(k: int, l: int) -> VerifyReport:
 
 def suite_full_tn(n: int) -> VerifyReport:
     """Tightness of the n^n - C(n,2) bound for full-monoid languages."""
-    _budget_full_tn(n)
+    n = _budget_full_tn(n)
     rec = _Recorder()
     gens = tn_generators(n)
     m = closure(gens)
@@ -212,7 +217,7 @@ def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> Verify
     that the divisor-marking construction matches the generic monoid
     construction and never needs more states than the original language.
     """
-    _budget_unary(max_n)
+    max_n = _budget_unary(max_n)
     rec = _Recorder()
     for n in range(2, max_n + 1):
         d = _single_word_dfa(n)
@@ -306,7 +311,7 @@ def suite_counting() -> VerifyReport:
 
 def suite_gap(max_n: int = 40) -> VerifyReport:
     """The (2, n-2) monoid beats the (n-2, 2) one by at least C(n,2)."""
-    _budget_gap(max_n)
+    max_n = _budget_gap(max_n)
     rec = _Recorder()
     worst = None
     ok = True
@@ -325,7 +330,7 @@ def suite_gap(max_n: int = 40) -> VerifyReport:
 
 def suite_lower_bound(max_n: int = 30) -> VerifyReport:
     """Best coprime split beats the analytic lower bound for 7 <= n <= max_n."""
-    _budget_lower_bound(max_n)
+    max_n = _budget_lower_bound(max_n)
     rec = _Recorder()
     ok = True
     closest = None

@@ -1,8 +1,22 @@
 import json
 
+import numpy as np
 import pytest
 
-from regroot import parse, verify
+from regroot import (
+    Transformation,
+    binomial,
+    cycle_pair,
+    hk_lower_bound,
+    largest_two_generated,
+    parse,
+    stirling2,
+    tn_generators,
+    ukl_gap,
+    ukl_generators,
+    ukl_size_formula,
+    verify,
+)
 from regroot.cli import main
 
 from conftest import EXAMPLE_DFA_TEXT
@@ -160,6 +174,57 @@ class TestScalars:
     def test_largest2_budget(self, capsys):
         assert main(["largest2", "--n", "5"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_largest2_witness(self, capsys):
+        assert main(["largest2", "--n", "3"]) == 0
+        assert capsys.readouterr().out == "max=24\ngenerators [1 1 2] [2 3 1]\n"
+
+
+def full_tn_params(n):
+    return verify.suite_full_tn(n).params
+
+
+def start_final_params(k, l):
+    return verify.suite_start_final_variation(k, l).params
+
+
+# Each function behind a command, its integer arguments, and which one to
+# replace; a bool or a float there is refused, a numpy integer is read.
+INTEGER_ARGUMENTS = [
+    (tn_generators, (3,), 0),
+    (largest_two_generated, (2,), 0),
+    (cycle_pair, (2, 3), 0),
+    (cycle_pair, (2, 3), 1),
+    (stirling2, (4, 2), 0),
+    (stirling2, (4, 2), 1),
+    (binomial, (5, 2), 0),
+    (binomial, (5, 2), 1),
+    (Transformation((2, 1)).__pow__, (3,), 0),
+    (ukl_size_formula, (2, 3), 0),
+    (ukl_size_formula, (2, 3), 1),
+    (ukl_generators, (2, 3), 1),
+    (ukl_gap, (7,), 0),
+    (hk_lower_bound, (8,), 0),
+    (full_tn_params, (3,), 0),
+    (start_final_params, (2, 3), 0),
+]
+_IDS = [f"{fn.__name__}-{slot}" for fn, _, slot in INTEGER_ARGUMENTS]
+
+
+def _replaced(args, slot, value):
+    return args[:slot] + (value,) + args[slot + 1 :]
+
+
+@pytest.mark.parametrize("fn, args, slot", INTEGER_ARGUMENTS, ids=_IDS)
+@pytest.mark.parametrize("kind", [bool, float])
+def test_bools_and_floats_are_refused(fn, args, slot, kind):
+    with pytest.raises(ValueError, match="is not an integer"):
+        fn(*_replaced(args, slot, kind(args[slot])))
+
+
+@pytest.mark.parametrize("fn, args, slot", INTEGER_ARGUMENTS, ids=_IDS)
+def test_numpy_integers_are_read(fn, args, slot):
+    assert fn(*_replaced(args, slot, np.int64(args[slot]))) == fn(*args)
 
 
 class TestVerify:

@@ -242,6 +242,12 @@ class TestLargestTwoGenerated:
         with pytest.raises(ValueError, match="budget"):
             largest_two_generated(5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force_over_ordered_pairs(self, n):
+        maps = all_maps(n)
+        best = max(len(closure([f, g])) for f in maps for g in maps)
+        assert largest_two_generated(n)[0] == best
+
     def test_witness_regenerates_the_maximum(self):
         size, gens = largest_two_generated(2)
         assert len(closure(list(gens))) == size
