@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,66 @@ class TestParse:
         d = parse("states 1\nalphabet a\nstart 1\nfinals\ntrans a 1\n")
         assert d.finals == frozenset()
         assert parse(serialize(d)) == d
+
+
+SMALL_TEXT = "states 2\nalphabet a\nstart 1\nfinals 2\ntrans a 2 1\n"
+
+
+def _edited(old, new):
+    assert old in SMALL_TEXT
+    return SMALL_TEXT.replace(old, new)
+
+
+# Each input error of parse: the text, a piece of the message and the line
+# number the error carries, None where no single line is at fault.
+PARSE_ERRORS = {
+    "second-states": (SMALL_TEXT + "states 2\n", "duplicate 'states' line", 6),
+    "second-alphabet": (SMALL_TEXT + "alphabet a\n", "duplicate 'alphabet' line", 6),
+    "second-start": (SMALL_TEXT + "start 1\n", "duplicate 'start' line", 6),
+    "second-finals": (SMALL_TEXT + "finals 1\n", "duplicate 'finals' line", 6),
+    "states-two-tokens": (_edited("states 2", "states 2 3"), "'states' expects one integer", 1),
+    "start-two-tokens": (_edited("start 1", "start 1 2"), "'start' expects one integer", 3),
+    "states-zero": ("states 0\n", "state count 0 must be positive", 1),
+    "empty-alphabet": (_edited("alphabet a", "alphabet"), "'alphabet' expects at least one letter", 2),
+    "bare-trans": (SMALL_TEXT + "trans\n", "'trans' expects a letter and successor states", 6),
+    "missing-alphabet": (_edited("alphabet a\n", ""), "missing 'alphabet' line", None),
+    "missing-start": (_edited("start 1\n", ""), "missing 'start' line", None),
+    "missing-finals": (_edited("finals 2\n", ""), "missing 'finals' line", None),
+    "letter-not-in-alphabet": (SMALL_TEXT + "trans b 1 1\n", "letter 'b' not in alphabet", 6),
+    "start-out-of-range": (_edited("start 1", "start 3"), "state 3 out of range 1..2", None),
+    "final-out-of-range": (_edited("finals 2", "finals 2 4"), "state 4 out of range 1..2", None),
+}
+
+
+@pytest.mark.parametrize("text, message, line", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_input_errors(text, message, line):
+    with pytest.raises(DfaParseError) as info:
+        parse(text)
+    assert message in str(info.value)
+    assert info.value.line == line
+
+
+# Each input error of the Dfa constructor, with a piece of its message.
+DFA_ERRORS = {
+    "no-states": ((0, ("a",), ((),), 1, ()), "a DFA needs at least one state"),
+    "empty-alphabet": ((1, (), (), 1, ()), "alphabet must not be empty"),
+    "letter-of-two-tokens": ((1, ("a b",), ((1,),), 1, ()), "letter 'a b' is not a single token"),
+    "empty-letter": ((1, ("",), ((1,),), 1, ()), "letter '' is not a single token"),
+    "too-few-rows": ((1, ("a", "b"), ((1,),), 1, ()), "need exactly one transition row per letter"),
+    "short-row": ((2, ("a",), ((1,),), 1, ()), "transition row for 'a' has 1 entries, expected 2"),
+}
+
+
+@pytest.mark.parametrize("args, message", DFA_ERRORS.values(), ids=DFA_ERRORS)
+def test_dfa_input_errors(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dfa(*args)
+
+
+def test_word_transformation_refuses_degrees_over_255():
+    d = Dfa(256, ("a",), (tuple(range(1, 257)),), 1, ())
+    with pytest.raises(ValueError, match="degree 256 exceed.* supported maximum 255"):
+        word_transformation(d, "a")
 
 
 @given(small_dfas())
