@@ -111,16 +111,28 @@ def cmd_largest2(args) -> int:
     return 0
 
 
+# The verify options that each suite reads, by argparse name; any other
+# option is refused, and `all` runs the defaults and reads none.
+_SUITE_OPTIONS = {
+    "full-tn": ("max_n",),
+    "min-dfa": ("max_n", "k", "l"),
+    "start-final": ("k", "l"),
+    "unary": ("max_n", "seed"),
+    "gap": ("max_n",),
+    "lower-bound": ("max_n",),
+}
+_FLAGS = {"max_n": "--max-n", "seed": "--seed", "k": "-k", "l": "-l"}
+
+
 def _suite_runs(name: str, runs, args) -> list[tuple]:
     # The runs that the options select in place of the suite's default runs.
-    if name == "start-final":
-        ((k, l),) = runs
-        return [(k if args.k is None else args.k, l if args.l is None else args.l)]
-    if name == "min-dfa" and (args.k is not None or args.l is not None):
+    if args.k is not None or args.l is not None:
         if args.k is None or args.l is None:
             raise ValueError("pass both -k and -l")
+        if args.max_n is not None:
+            raise ValueError("--max-n cannot be combined with -k and -l")
         return [(args.k, args.l)]
-    if args.max_n is None or name == "counting":
+    if args.max_n is None:
         return list(runs)
     if name == "full-tn":
         return [(n,) for n in range(1, args.max_n + 1)]
@@ -130,19 +142,21 @@ def _suite_runs(name: str, runs, args) -> list[tuple]:
 
 
 def cmd_verify(args) -> int:
+    for option, flag in _FLAGS.items():
+        if getattr(args, option) is not None and option not in _SUITE_OPTIONS.get(args.suite, ()):
+            raise ValueError(f"--suite {args.suite} takes no {flag}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    keywords = {} if args.seed is None else {"seed": args.seed}
     calls = []
     for name in names:
         suite, budget, runs = SUITES[name]
-        if args.suite != "all":
-            runs = _suite_runs(name, runs, args)
-            if not runs:
-                raise ValueError(f"--max-n {args.max_n} selects no {name} run")
+        runs = _suite_runs(name, runs, args)
+        if not runs:
+            raise ValueError(f"--max-n {args.max_n} selects no {name} run")
         for run in runs:
             budget(*run)
-        keywords = {"seed": args.seed} if name == "unary" else {}
-        calls += [(suite, run, keywords) for run in runs]
-    reports = [suite(*run, **keywords) for suite, run, keywords in calls]
+        calls += [(suite, run) for run in runs]
+    reports = [suite(*run, **keywords) for suite, run in calls]
     ok = all(r.passed for r in reports)
     if args.json:
         print(json.dumps({"reports": [r.to_dict() for r in reports], "pass": ok}))
@@ -207,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a reproduction suite")
     p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p.add_argument("--max-n", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("-k", type=int)
     p.add_argument("-l", type=int)
     p.add_argument("--json", action="store_true")
@@ -227,10 +241,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, ClosureBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, ClosureBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,12 +17,13 @@ lists zero or more states.  Only complete transition tables are accepted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .transform import MAX_DEGREE, Transformation, _as_int, _as_points, _make
+from .transform import Transformation, _as_int, _as_points, identity
 
 
 class DfaParseError(ValueError):
@@ -89,10 +90,7 @@ def parse(text) -> Dfa:
     """Parse the text format above into a Dfa."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
-    n = None
-    alphabet: tuple[str, ...] | None = None
-    start = None
-    finals: list[int] | None = None
+    header: dict[str, list | None] = dict.fromkeys(("states", "alphabet", "start", "finals"))
     trans: dict[str, tuple[tuple[int, ...], int]] = {}
 
     def want_int(token: str, lineno: int) -> int:
@@ -105,54 +103,35 @@ def parse(text) -> Dfa:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        key = fields[0]
-        if key == "states":
-            if n is not None:
-                raise DfaParseError("duplicate 'states' line", lineno)
-            if len(fields) != 2:
-                raise DfaParseError("'states' expects one integer", lineno)
-            n = want_int(fields[1], lineno)
-            if n < 1:
-                raise DfaParseError(f"state count {n} must be positive", lineno)
-        elif key == "alphabet":
-            if alphabet is not None:
-                raise DfaParseError("duplicate 'alphabet' line", lineno)
-            letters = fields[1:]
-            if not letters:
-                raise DfaParseError("'alphabet' expects at least one letter", lineno)
-            if len(set(letters)) != len(letters):
-                raise DfaParseError("duplicate letter in alphabet", lineno)
-            alphabet = tuple(letters)
-        elif key == "start":
-            if start is not None:
-                raise DfaParseError("duplicate 'start' line", lineno)
-            if len(fields) != 2:
-                raise DfaParseError("'start' expects one integer", lineno)
-            start = want_int(fields[1], lineno)
-        elif key == "finals":
-            if finals is not None:
-                raise DfaParseError("duplicate 'finals' line", lineno)
-            finals = [want_int(tok, lineno) for tok in fields[1:]]
-        elif key == "trans":
-            if len(fields) < 2:
+        key, *args = line.split()
+        if key == "trans":
+            if not args:
                 raise DfaParseError("'trans' expects a letter and successor states", lineno)
-            letter = fields[1]
-            if letter in trans:
-                raise DfaParseError(f"duplicate 'trans' line for letter {letter!r}", lineno)
-            row = tuple(want_int(tok, lineno) for tok in fields[2:])
-            trans[letter] = (row, lineno)
-        else:
+            if args[0] in trans:
+                raise DfaParseError(f"duplicate 'trans' line for letter {args[0]!r}", lineno)
+            trans[args[0]] = (tuple(want_int(tok, lineno) for tok in args[1:]), lineno)
+            continue
+        if key not in header:
             raise DfaParseError(f"unknown keyword {key!r}", lineno)
+        if header[key] is not None:
+            raise DfaParseError(f"duplicate {key!r} line", lineno)
+        if key in ("states", "start") and len(args) != 1:
+            raise DfaParseError(f"{key!r} expects one integer", lineno)
+        if key == "alphabet":
+            if not args:
+                raise DfaParseError("'alphabet' expects at least one letter", lineno)
+            if len(set(args)) != len(args):
+                raise DfaParseError("duplicate letter in alphabet", lineno)
+            header[key] = args
+        else:
+            header[key] = [want_int(tok, lineno) for tok in args]
+        if key == "states" and header[key][0] < 1:
+            raise DfaParseError(f"state count {header[key][0]} must be positive", lineno)
 
-    if n is None:
-        raise DfaParseError("missing 'states' line")
-    if alphabet is None:
-        raise DfaParseError("missing 'alphabet' line")
-    if start is None:
-        raise DfaParseError("missing 'start' line")
-    if finals is None:
-        raise DfaParseError("missing 'finals' line")
+    for key, value in header.items():
+        if value is None:
+            raise DfaParseError(f"missing {key!r} line")
+    (n,), alphabet, (start,), finals = header.values()
     for letter, (row, lineno) in trans.items():
         if letter not in alphabet:
             raise DfaParseError(f"letter {letter!r} not in alphabet", lineno)
@@ -164,13 +143,11 @@ def parse(text) -> Dfa:
     for letter in alphabet:
         if letter not in trans:
             raise DfaParseError(f"missing 'trans' line for letter {letter!r}")
-    if not 1 <= start <= n:
-        raise DfaParseError(f"state {start} out of range 1..{n}")
-    for q in finals:
-        if not 1 <= q <= n:
-            raise DfaParseError(f"state {q} out of range 1..{n}")
-
-    return Dfa(n, alphabet, tuple(trans[a][0] for a in alphabet), start, frozenset(finals))
+    # The start and final states are checked by Dfa, with no line to name.
+    try:
+        return Dfa(n, alphabet, [trans[a][0] for a in alphabet], start, finals)
+    except ValueError as exc:
+        raise DfaParseError(str(exc)) from None
 
 
 def serialize(d: Dfa) -> str:
@@ -188,13 +165,7 @@ def serialize(d: Dfa) -> str:
 
 def word_transformation(d: Dfa, w) -> Transformation:
     """The state map induced by reading w; the empty word gives the identity."""
-    if d.n > MAX_DEGREE:
-        raise ValueError(f"state maps of degree {d.n} exceed the supported maximum {MAX_DEGREE}")
-    cur = tuple(range(1, d.n + 1))
-    for a in w:
-        row = d.delta[d.letter_index(a)]
-        cur = tuple(row[x - 1] for x in cur)
-    return _make(cur)
+    return reduce(operator.mul, (d.letter_transformation(a) for a in w), identity(d.n))
 
 
 def accepts(d: Dfa, w) -> bool:
@@ -299,16 +270,12 @@ def unary_structure(d: Dfa) -> tuple[int, int, int]:
     """(tail length, loop length, loop entry state) of a one-letter DFA."""
     if len(d.alphabet) != 1:
         raise ValueError("unary_structure needs a one-letter alphabet")
-    row = d.delta[0]
-    seen: dict[int, int] = {}
-    q = d.start
-    i = 0
-    while q not in seen:
-        seen[q] = i
-        i += 1
-        q = row[q - 1]
-    j = seen[q]
-    return j, i - j, q
+    # With one letter the reachable states are the path from the start, and
+    # the loop entry is the successor of its last state.
+    path = _reachable(d)
+    entry = d.delta[0][path[-1] - 1]
+    j = path.index(entry)
+    return j, len(path) - j, entry
 
 
 def chain_dfa(tail: int, loop: int, finals, alphabet: tuple[str, ...] = ("a",)) -> Dfa:

@@ -133,21 +133,28 @@ def _table(g: Transformation) -> bytes:
     return bytes(1) + bytes(g) + bytes(255 - len(g))
 
 
+def _one_degree(maps, empty: str) -> tuple[list[Transformation], int]:
+    # The maps as Transformations and their one degree; no maps at all is
+    # the ValueError `empty`.
+    maps = [f if isinstance(f, Transformation) else Transformation(f) for f in maps]
+    if not maps:
+        raise ValueError(empty)
+    n = maps[0].degree
+    for f in maps:
+        if f.degree != n:
+            raise ValueError(f"degree mismatch: {f.degree} vs {n}")
+    return maps, n
+
+
 def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
     """Least composition-closed superset of the generators plus identity."""
-    gens = [g if isinstance(g, Transformation) else Transformation(g) for g in gens]
-    if not gens:
-        raise ValueError("need at least one generator")
+    gens, n = _one_degree(gens, "need at least one generator")
     try:
         cap = _as_int(max_elements, "element cap")
     except ValueError:
         cap = 0
     if cap < 1:
         raise ValueError(f"the element cap must be a positive integer, got {max_elements!r}")
-    n = gens[0].degree
-    for g in gens:
-        if g.degree != n:
-            raise ValueError(f"degree mismatch: {g.degree} vs {n}")
     tables = [_table(g) for g in dict.fromkeys(gens)]
     key = np.dtype(f"S{n}")
     ident = bytes(range(1, n + 1))
@@ -276,13 +283,7 @@ def largest_two_generated(n: int) -> tuple[int, tuple[Transformation, Transforma
 
 def dfa_based_on(gens, start: int = 1, finals=(1,), letters: tuple[str, ...] | None = None) -> Dfa:
     """DFA whose letter maps are the given transformations, one letter each."""
-    gens = [g if isinstance(g, Transformation) else Transformation(g) for g in gens]
-    if not gens:
-        raise ValueError("need at least one transformation")
-    n = gens[0].degree
-    for g in gens:
-        if g.degree != n:
-            raise ValueError(f"degree mismatch: {g.degree} vs {n}")
+    gens, n = _one_degree(gens, "need at least one transformation")
     if letters is None:
         if len(gens) > len(_LETTERS):
             raise ValueError("too many generators for the default alphabet")

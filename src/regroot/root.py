@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import Dfa, accepts, chain_dfa, minimize, unary_structure
+from .dfa import Dfa, _reachable, accepts, chain_dfa, minimize
 from .monoid import DEFAULT_MAX_ELEMENTS, TransMonoid, transformation_monoid
 from .transform import Transformation, _as_int
 
@@ -125,14 +125,10 @@ def unary_root(d: Dfa) -> Dfa:
     """
     if len(d.alphabet) != 1:
         raise ValueError("unary_root needs a one-letter alphabet")
-    j, l, _ = unary_structure(d)
-    m = j + l
-    row = d.delta[0]
-    chain = []
-    q = d.start
-    for _ in range(m):
-        chain.append(q)
-        q = row[q - 1]
+    chain = _reachable(d)
+    m = len(chain)
+    j = chain.index(d.delta[0][chain[-1] - 1])
+    l = m - j
     final_idx = {i for i, q in enumerate(chain) if q in d.finals}
 
     new_finals: set[int] = set()

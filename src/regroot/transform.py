@@ -64,6 +64,7 @@ class Transformation(tuple):
 
     def __call__(self, point: int) -> int:
         """Image of a point, 1-indexed."""
+        point = _as_int(point, "point")
         if not 1 <= point <= len(self):
             raise ValueError(f"point {point} outside 1..{len(self)}")
         return self[point - 1]
@@ -104,13 +105,7 @@ class Transformation(tuple):
         A point with no preimage at all is not considered unique; only
         image points can be unique.
         """
-        hits = 0
-        for v in self:
-            if v == k:
-                hits += 1
-                if hits > 1:
-                    return False
-        return hits == 1
+        return self.count(k) == 1
 
     def complement(self) -> "Transformation":
         """For a rank-2 map with image {i, j}, swap i and j on outputs."""

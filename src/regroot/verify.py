@@ -17,6 +17,7 @@ from functools import partial
 
 from .counting import (
     _check_kl,
+    best_coprime_pair,
     binomial,
     hk_lower_bound,
     stirling2,
@@ -313,15 +314,8 @@ def suite_gap(max_n: int = 40) -> VerifyReport:
     """The (2, n-2) monoid beats the (n-2, 2) one by at least C(n,2)."""
     max_n = _budget_gap(max_n)
     rec = _Recorder()
-    worst = None
-    ok = True
-    for n in range(7, max_n + 1):
-        margin = ukl_gap(n) - binomial(n, 2)
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < 0:
-            ok = False
-    rec.add("gap-at-least-binom", ok, f"gap - C(n,2) >= 0 for 7 <= n <= {max_n}", f"min margin {worst}")
+    worst = min(ukl_gap(n) - binomial(n, 2) for n in range(7, max_n + 1))
+    rec.add("gap-at-least-binom", worst >= 0, f"gap - C(n,2) >= 0 for 7 <= n <= {max_n}", f"min margin {worst}")
 
     enum_gap = _formula_vs_enumeration(rec, 2, 5) - _formula_vs_enumeration(rec, 5, 2)
     rec.add("enumeration-crosscheck-n=7", enum_gap == ukl_gap(7), ukl_gap(7), enum_gap)
@@ -332,20 +326,11 @@ def suite_lower_bound(max_n: int = 30) -> VerifyReport:
     """Best coprime split beats the analytic lower bound for 7 <= n <= max_n."""
     max_n = _budget_lower_bound(max_n)
     rec = _Recorder()
-    ok = True
-    closest = None
-    for n in range(7, max_n + 1):
-        best = max(
-            ukl_size_formula(k, n - k)
-            for k in range(2, n - 1)
-            if math.gcd(k, n - k) == 1
-        )
-        bound = hk_lower_bound(n)
-        if not best >= bound:
-            ok = False
-        slack = best - bound
-        if closest is None or slack < closest:
-            closest = slack
+    # best_coprime_pair leaves out the split (n-2, 2), but where that is
+    # coprime, n is odd and the gap lemma puts it below (2, n-2).
+    pairs = [(ukl_size_formula(*best_coprime_pair(n)), hk_lower_bound(n)) for n in range(7, max_n + 1)]
+    ok = all(best >= bound for best, bound in pairs)
+    closest = min(best - bound for best, bound in pairs)
     rec.add(
         "analytic-lower-bound",
         ok,

@@ -141,6 +141,16 @@ class TestUkl:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"k": 2, "l": 3, "formula": 1857}
 
+    @pytest.mark.parametrize("argv, line", [
+        (["-k", "3", "-l", "4"], '{"k": 3, "l": 4, "formula": 607285}'),
+        (["-k", "2", "-l", "3", "--enumerate"],
+         '{"k": 2, "l": 3, "formula": 1857, "closure": 1857, "agree": true}'),
+        (["-n", "7"], '{"n": 7, "k": 2, "l": 5, "formula": 610871, "predicted_root_states": 610850}'),
+    ])
+    def test_json_lines(self, argv, line, capsys):
+        assert main(["ukl", *argv, "--json"]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
     def test_best_split_for_n(self, capsys):
         assert main(["ukl", "-n", "7"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -274,6 +284,51 @@ class TestVerify:
 
     def test_incomplete_pair(self, capsys):
         assert main(["verify", "--suite", "min-dfa", "-k", "2"]) == 2
+
+    def test_start_final_pair_selection(self, capsys):
+        assert main(["verify", "--suite", "start-final", "-k", "2", "-l", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("suite start-final-variation  k=2 l=3\n")
+        assert "FAIL" not in out
+
+    def test_counting_runs_its_default(self, capsys):
+        assert main(["verify", "--suite", "counting"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("suite counting\n")
+        assert "=> PASS (5/5 cases)" in out
+
+    @pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "5"], 5)])
+    def test_unary_reads_the_seed(self, argv, seed, capsys):
+        assert main(["verify", "--suite", "unary", "--max-n", "2", "--json", *argv]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["params"] == {"max_n": 2, "seed": seed, "samples": 200}
+
+    # Each option that the chosen suite does not read, and the error it gets.
+    REFUSED = {
+        "counting-max-n": (["counting", "--max-n", "3"], "--suite counting takes no --max-n"),
+        "counting-seed": (["counting", "--seed", "1"], "--suite counting takes no --seed"),
+        "start-final-max-n": (["start-final", "--max-n", "3"], "--suite start-final takes no --max-n"),
+        "start-final-k-only": (["start-final", "-k", "3"], "pass both -k and -l"),
+        "start-final-l-only": (["start-final", "-l", "3"], "pass both -k and -l"),
+        "unary-k": (["unary", "--max-n", "4", "-k", "9"], "--suite unary takes no -k"),
+        "gap-seed": (["gap", "--max-n", "8", "--seed", "5"], "--suite gap takes no --seed"),
+        "lower-bound-l": (["lower-bound", "-l", "3"], "--suite lower-bound takes no -l"),
+        "full-tn-k": (["full-tn", "-k", "2", "-l", "3"], "--suite full-tn takes no -k"),
+        "min-dfa-seed": (["min-dfa", "--seed", "1"], "--suite min-dfa takes no --seed"),
+        "min-dfa-pair-and-max-n": (["min-dfa", "-k", "2", "-l", "3", "--max-n", "5"],
+                                   "--max-n cannot be combined with -k and -l"),
+        "all-max-n": (["all", "--max-n", "3"], "--suite all takes no --max-n"),
+        "all-seed": (["all", "--seed", "0"], "--suite all takes no --seed"),
+        "all-k": (["all", "-k", "2"], "--suite all takes no -k"),
+        "all-l": (["all", "-l", "3"], "--suite all takes no -l"),
+    }
+
+    @pytest.mark.parametrize("argv, message", REFUSED.values(), ids=REFUSED)
+    def test_options_the_suite_does_not_read_are_refused(self, argv, message, capsys):
+        assert main(["verify", "--suite", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_help_exits_zero(capsys):

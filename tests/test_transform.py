@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ def test_application_is_one_indexed():
         ALPHA(0)
     with pytest.raises(ValueError):
         ALPHA(6)
+
+
+@pytest.mark.parametrize("point", [True, False, 1.0, "1", None])
+def test_application_refuses_non_integer_points(point):
+    with pytest.raises(ValueError, match=re.escape(f"point {point!r} is not an integer")):
+        Transformation((2, 1))(point)
+
+
+def test_application_reads_numpy_integers():
+    assert Transformation((2, 1))(np.int64(2)) == 1
+    assert Transformation((2, 1))(np.uint8(1)) == 2
+    with pytest.raises(ValueError, match=r"point 3 outside 1\.\.2"):
+        Transformation((2, 1))(np.int64(3))
 
 
 def test_image_and_rank():
