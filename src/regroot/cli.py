@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .counting import best_coprime_pair, binomial, hk_lower_bound, stirling2, ukl_size_formula
@@ -230,6 +231,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _all_digits():
+    # Exact results are printed in full, however many digits they have.
+    # Python before 3.10.7 has no limit on the digits of str(int).
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -240,7 +256,8 @@ def main(argv=None) -> int:
         print("error: pass either -n, or both -k and -l", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        with _all_digits():
+            return args.func(args)
     except (ValueError, ClosureBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,11 +97,19 @@ def hk_bracket(n: int) -> float:
     return 1.0 - math.sqrt(2) * (2 / math.e) ** (n / 2) * e112 - math.sqrt(8) / math.sqrt(n) * e112
 
 
+# The largest n whose n^n is a finite float.
+HK_MAX_N = 143
+
+
 def hk_lower_bound(n: int) -> float:
     """Analytic lower bound n^n * (1 - sqrt(2)(2/e)^(n/2)e^(1/12) - sqrt(8)e^(1/12)/sqrt(n)).
 
     May be negative for small n, in which case it holds trivially.
+    Defined for 7 <= n <= HK_MAX_N.
     """
+    n = _as_int(n, "n")
+    if n > HK_MAX_N:
+        raise ValueError(f"n^n overflows a float above n = {HK_MAX_N}, got {n}")
     return hk_bracket(n) * float(n) ** n
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -27,6 +29,19 @@ def small_dfas(draw, max_states=5, max_letters=3):
     start = draw(st.integers(1, n))
     finals = frozenset(q for q in range(1, n + 1) if draw(st.booleans()))
     return Dfa(n, alphabet, delta, start, finals)
+
+
+def random_dfa(n, letters, seed):
+    rng = random.Random(seed)
+    delta = [[rng.randint(1, n) for _ in range(n)] for _ in range(letters)]
+    return Dfa(n, tuple("abc"[:letters]), delta, 1, ())
+
+
+def counter_dfa(n, period):
+    # a walks a path into a loop of `period` states, b goes back to the
+    # start; the walk from the start is n - 1 levels deep.
+    a = tuple(range(2, n + 1)) + (n - period + 1,)
+    return Dfa(n, ("a", "b"), (a, (1,) * n), 1, range(period, n + 1, period))
 
 
 EXAMPLE_DFA_TEXT = """\

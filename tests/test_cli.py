@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from regroot import (
     ukl_size_formula,
     verify,
 )
+from regroot import cli
 from regroot.cli import main
 
 from conftest import EXAMPLE_DFA_TEXT
@@ -175,6 +177,21 @@ class TestScalars:
     def test_bound_is_negative_at_seven(self, capsys):
         assert main(["bound", "--n", "7"]) == 0
         assert float(capsys.readouterr().out) < 0
+
+    def test_bound_past_float_range_is_usage_error(self, capsys):
+        assert main(["bound", "--n", "200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "143" in err
+        assert "Traceback" not in err
+
+    def test_integers_of_any_length_are_printed(self, monkeypatch, capsys):
+        # A real Stirling number of over 4,300 digits takes a memo table
+        # of gigabytes, so the computed value is stood in for.
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(cli, "stirling2", lambda n, k: 7 * 10**5000)
+        assert main(["stirling", "--n", "3000", "--k", "1500"]) == 0
+        assert capsys.readouterr().out == "7" + "0" * 5000 + "\n"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_largest2(self, capsys):
         assert main(["largest2", "--n", "2"]) == 0

@@ -14,6 +14,7 @@ from regroot import (
     ukl_generators,
     ukl_size_formula,
 )
+from regroot.counting import HK_MAX_N
 
 
 def partitions_into_blocks(items, k):
@@ -154,6 +155,12 @@ class TestLowerBound:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             hk_lower_bound(6)
+
+    def test_largest_n_is_finite_and_the_next_refused(self):
+        assert HK_MAX_N == 143
+        assert math.isfinite(hk_lower_bound(143))
+        with pytest.raises(ValueError, match="above n = 143"):
+            hk_lower_bound(144)
 
 
 class TestBestCoprimePair:

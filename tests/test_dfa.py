@@ -18,8 +18,9 @@ from regroot import (
     unary_structure,
     word_transformation,
 )
+from regroot.dfa import ARRAY_REACH_MIN_STATES, _LEVEL_READS, _reach_levels, _reachable
 
-from conftest import EXAMPLE_DFA_TEXT, small_dfas
+from conftest import EXAMPLE_DFA_TEXT, counter_dfa, random_dfa, small_dfas
 
 
 def chain_dfa(tail, loop, finals):
@@ -243,6 +244,35 @@ class TestMinimize:
     @settings(max_examples=60)
     def test_class_count_is_the_minimal_size(self, d):
         assert len(nerode_partition(d)) == minimize(d).n
+
+
+def reach_levels(d, max_levels):
+    out = _reach_levels(np.array(d.delta, dtype=np.int64), d.start, max_levels)
+    return None if out is None else out.tolist()
+
+
+def partition_level_budget(d):
+    # The number of levels _partition lets the level walk take.
+    return d.n * len(d.alphabet) // _LEVEL_READS
+
+
+class TestReachLevels:
+    @given(small_dfas(max_states=8), st.integers(0, 3))
+    @settings(max_examples=300)
+    def test_matches_the_scalar_walk(self, d, extra):
+        # States n+1..n+extra map to themselves and are never reached.
+        n = d.n + extra
+        d = Dfa(n, d.alphabet, [row + tuple(range(d.n + 1, n + 1)) for row in d.delta], d.start, ())
+        assert reach_levels(d, n) == _reachable(d)
+
+    def test_random_dfa_above_the_threshold(self):
+        d = random_dfa(3 * ARRAY_REACH_MIN_STATES, 3, seed=8)
+        assert reach_levels(d, partition_level_budget(d)) == _reachable(d)
+
+    def test_deep_walk_is_handed_to_the_scalar_walk(self):
+        d = counter_dfa(2 * ARRAY_REACH_MIN_STATES, 5)
+        assert reach_levels(d, partition_level_budget(d)) is None
+        assert reach_levels(d, d.n) == _reachable(d)
 
 
 class TestEquivalent:

@@ -5,14 +5,16 @@ reachable from the start, then numbers the classes by the first reach of
 their members, breadth first with letters in alphabet order.
 """
 
+import random
 from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regroot import Dfa, dfa_based_on, minimize, nerode_partition, root_automaton, ukl_generators
+from regroot.dfa import ARRAY_REACH_MIN_STATES, chain_dfa
 
-from conftest import small_dfas
+from conftest import counter_dfa, random_dfa, small_dfas
 
 
 def reference_minimize(d: Dfa) -> tuple[Dfa, list[list[int]]]:
@@ -81,3 +83,43 @@ def test_u23_root_automaton():
     d = root_automaton(dfa_based_on(ukl_generators(2, 3))).dfa
     check(d)
     assert minimize(d).n == 1847
+
+
+def test_u23_root_automaton_is_above_the_level_walk_threshold():
+    # So test_u23_root_automaton checks the level walk, on 1,857 states.
+    assert ARRAY_REACH_MIN_STATES <= 1857
+
+
+def test_deep_walk_above_the_threshold():
+    d = counter_dfa(ARRAY_REACH_MIN_STATES + 200, 5)
+    check(d)
+    assert minimize(d).n == 5
+
+
+def test_random_dfa_above_the_threshold():
+    check(replace(random_dfa(2 * ARRAY_REACH_MIN_STATES, 3, seed=3), finals=range(1, 400)))
+
+
+def test_chain_splits_one_singleton_a_round():
+    # The 64 states of the cycle are told apart by their distance to the
+    # final state, one per round, so the keyed states shrink by one.
+    d = chain_dfa(0, 64, {64})
+    check(d)
+    assert minimize(d).n == 64
+
+
+def test_chain_keeps_pairs_keyed_to_the_end():
+    # States q and q + 32 are equivalent, so 32 classes of two stay keyed
+    # in every round while the distance to a final state splits them.
+    d = chain_dfa(0, 64, {32, 64})
+    check(d)
+    assert minimize(d).n == 32
+
+
+def test_many_letters_rank_keys_between_folds():
+    # 70 letters fold more classes than an int64 key can hold, so the key
+    # is ranked between folds.
+    rng = random.Random(4)
+    n, alphabet = 30, tuple(f"x{i}" for i in range(70))
+    delta = [[rng.choice((1, 2, rng.randint(1, n))) for _ in range(n)] for _ in alphabet]
+    check(Dfa(n, alphabet, delta, 1, range(1, n, 3)))
