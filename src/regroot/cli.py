@@ -61,6 +61,9 @@ def cmd_monoid(args) -> int:
 
 def cmd_ukl(args) -> int:
     if args.n is not None:
+        for option, flag in (("k", "-k"), ("l", "-l"), ("enumerate", "--enumerate")):
+            if getattr(args, option) is not None:
+                raise ValueError(f"-n takes no {flag}")
         k, l = best_coprime_pair(args.n)
         formula = ukl_size_formula(k, l)
         payload = {
@@ -77,6 +80,8 @@ def cmd_ukl(args) -> int:
             print(f"formula={formula}")
             print(f"predicted_root_states={payload['predicted_root_states']}")
         return 0
+    if args.k is None or args.l is None:
+        raise ValueError("pass either -n, or both -k and -l")
     formula = ukl_size_formula(args.k, args.l)
     payload: dict = {"k": args.k, "l": args.l, "formula": formula}
     code = 0
@@ -202,7 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int)
     p.add_argument("-l", type=int)
     p.add_argument("-n", type=int, help="report the best coprime split of n")
-    p.add_argument("--enumerate", action="store_true", help="cross-check by closure enumeration")
+    # None when not given, as -k and -l are, so that -n can refuse it.
+    p.add_argument(
+        "--enumerate", action="store_true", default=None, help="cross-check by closure enumeration"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ukl)
 
@@ -252,9 +260,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    if args.command == "ukl" and (args.n is None) == (args.k is None or args.l is None):
-        print("error: pass either -n, or both -k and -l", file=sys.stderr)
-        return 2
     try:
         with _all_digits():
             return args.func(args)

@@ -13,12 +13,16 @@ from .transform import _as_int
 # Triangular memo table; row n holds the values for 0..n. Rows are only
 # ever appended, so concurrent readers always see consistent data.
 _stirling_rows: list[list[int]] = [[1]]
+# The last row the table may grow to: rows up to 2,000 take about 1.7 GB.
+STIRLING_MAX_N = 2_000
 
 
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks.
 
     Zero whenever k > n or k < 1 (except the empty partition at n = k = 0).
+    A ValueError for n > STIRLING_MAX_N otherwise, as the table of rows
+    up to n would take too much memory.
     """
     if type(n) is not int or type(k) is not int:
         n, k = _as_int(n, "n"), _as_int(k, "k")
@@ -26,14 +30,17 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError(f"arguments must be nonnegative integers, got ({n!r}, {k!r})")
     if k > n or (n > 0 and k < 1):
         return 0
-    while len(_stirling_rows) <= n:
-        prev = _stirling_rows[-1]
-        m = len(_stirling_rows)
-        row = [0] * (m + 1)
-        for i in range(1, m):
-            row[i] = prev[i - 1] + i * prev[i]
-        row[m] = 1
-        _stirling_rows.append(row)
+    if n >= len(_stirling_rows):
+        if n > STIRLING_MAX_N:
+            raise ValueError(f"stirling2 keeps rows up to n = {STIRLING_MAX_N}, got n = {n}")
+        while len(_stirling_rows) <= n:
+            prev = _stirling_rows[-1]
+            m = len(_stirling_rows)
+            row = [0] * (m + 1)
+            for i in range(1, m):
+                row[i] = prev[i - 1] + i * prev[i]
+            row[m] = 1
+            _stirling_rows.append(row)
     return _stirling_rows[n][k]
 
 

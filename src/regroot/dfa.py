@@ -175,52 +175,52 @@ def accepts(d: Dfa, w) -> bool:
     return q in d.finals
 
 
-def _reachable(d: Dfa) -> list[int]:
-    # Breadth first from the start, letters in alphabet order; the visit
-    # order is therefore the order of first reach by lexicographically
-    # smallest words.
-    order = [d.start]
-    seen = {d.start}
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for row in d.delta:
-            r = row[q - 1]
-            if r not in seen:
-                seen.add(r)
-                order.append(r)
-    return order
+# The fixed cost of one numpy pass over a level, in scalar successor reads.
+_PASS_READS = 100
 
 
-# From this many states up, _partition tries the level walk first.  On
-# random 2-letter DFAs, on a 2-core box, the scalar walk took 48 us
-# against 200 us at 200 states, 144 us against 188 us at 500, and 444 us
-# against 232 us at 1,000.
-ARRAY_REACH_MIN_STATES = 1_000
-# The fixed cost of one level of _reach_levels, about 20 us, in successor
-# reads of _reachable, about 0.2 us each, on the same box.
-_LEVEL_READS = 100
+def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
+    """The states reachable from the start, in _partition's order, in pieces.
 
-
-def _reach_levels(delta: np.ndarray, start: int, max_levels: int) -> np.ndarray | None:
-    """The states of _reachable(d), in its order, for delta = np.array(d.delta).
-
-    None if the walk from start has more than max_levels levels.
+    A list holds each run of levels read one state at a time, and an
+    array each level found by a pass over delta = np.array(d.delta),
+    which is built here if a level needs it and it is not given.
     """
-    seen = np.zeros(delta.shape[1] + 1, dtype=bool)
-    seen[start] = True
-    levels = [np.array([start])]
-    while len(levels) <= max_levels:
-        # Parent-major and letter-minor, as the scalar walk meets them.
-        met = delta[:, levels[-1] - 1].T.ravel()
-        met = met[~seen[met]]
-        if not met.size:
-            return np.concatenate(levels)
-        _, first = np.unique(met, return_index=True)
-        levels.append(met[np.sort(first)])
-        seen[levels[-1]] = True
-    return None
+    rows = d.delta
+    wide = _PASS_READS // len(rows)
+    seen = bytearray(d.n + 1)
+    seen[d.start] = True
+    order, pieces = [d.start], []
+    while order:
+        pieces.append(order)
+        end = 0
+        for i, q in enumerate(order):
+            if i == end:  # order[i:] is the next level
+                end = len(order)
+                if end - i > wide:
+                    break
+            for row in rows:
+                r = row[q - 1]
+                if not seen[r]:
+                    seen[r] = True
+                    order.append(r)
+        else:
+            break
+        if delta is None:
+            delta = np.array(rows, dtype=np.int64)
+        mask = np.frombuffer(seen, dtype=bool)
+        level = np.array(order[i:])
+        while True:
+            met = delta[:, level - 1].T.ravel()  # parent-major, letter-minor
+            met = met[~mask[met]]
+            _, first = np.unique(met, return_index=True)
+            level = met[np.sort(first)]
+            mask[level] = True
+            if len(level) <= wide:
+                break
+            pieces.append(level)
+        order = level.tolist()
+    return pieces
 
 
 # Keys are int64; a key that would pass this is first replaced by its rank.
@@ -247,17 +247,13 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     states[i] on letter j, fin[i] tells whether states[i] is final, and
     cls[i] in 0..ncls-1 is its Nerode class.
 
-    Reachability.  The scalar walk of _reachable appends the states at
-    distance t + 1 while it reads the states at distance t, in their
-    order, each on every letter in alphabet order.  So level t + 1 is the
-    successors of level t, parent-major and letter-minor, with the states
-    of levels 0..t dropped and each remaining state kept at its first
-    occurrence; _reach_levels builds exactly that list, one numpy pass
-    per level.  The fixed cost of a pass loses to the scalar walk below
-    ARRAY_REACH_MIN_STATES states, a threshold measured on random DFAs.
-    It also loses on a deep walk of narrow levels, such as a long chain,
-    so a walk that has spent as long as d.n * k scalar successor reads
-    on per-level cost is handed over to _reachable.
+    Reachability.  Breadth first from the start, letters in alphabet
+    order, so the order is that of first reach by lexicographically
+    smallest words.  Level t + 1 is the successors of level t,
+    parent-major and letter-minor, less the states of levels 0..t, each
+    kept at its first occurrence.  _reachable reads a level whose width,
+    states times letters, is at most _PASS_READS one state at a time, and
+    a wider one with a numpy pass that builds the next level.
 
     Refinement.  Moore rounds on 1-D keys: each letter in turn folds the
     successor's class into the key, key * ncls + cls[succ[j]], which is
@@ -273,11 +269,7 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     refinement.
     """
     delta = np.array(d.delta, dtype=np.int64)
-    states = None
-    if d.n >= ARRAY_REACH_MIN_STATES:
-        states = _reach_levels(delta, d.start, d.n * len(d.alphabet) // _LEVEL_READS)
-    if states is None:
-        states = np.array(_reachable(d))
+    states = np.concatenate(_reachable(d, delta))
     pos = np.zeros(d.n + 1, dtype=np.int64)
     pos[states] = np.arange(len(states))
     succ = pos[delta[:, states - 1]]
@@ -354,8 +346,9 @@ def unary_structure(d: Dfa) -> tuple[int, int, int]:
     if len(d.alphabet) != 1:
         raise ValueError("unary_structure needs a one-letter alphabet")
     # With one letter the reachable states are the path from the start, and
-    # the loop entry is the successor of its last state.
-    path = _reachable(d)
+    # the loop entry is the successor of its last state.  Each level holds
+    # one state, so the walk is one scalar run.
+    (path,) = _reachable(d)
     entry = d.delta[0][path[-1] - 1]
     j = path.index(entry)
     return j, len(path) - j, entry

@@ -125,7 +125,7 @@ def unary_root(d: Dfa) -> Dfa:
     """
     if len(d.alphabet) != 1:
         raise ValueError("unary_root needs a one-letter alphabet")
-    chain = _reachable(d)
+    (chain,) = _reachable(d)
     m = len(chain)
     j = chain.index(d.delta[0][chain[-1] - 1])
     l = m - j

@@ -163,6 +163,17 @@ class TestUkl:
     def test_non_coprime_rejected(self, capsys):
         assert main(["ukl", "-k", "2", "-l", "4"]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--enumerate"], "--enumerate"),
+        (["-k", "3"], "-k"),
+        (["-l", "4", "--json"], "-l"),
+    ])
+    def test_n_takes_no_other_option(self, argv, flag, capsys):
+        assert main(["ukl", "-n", "7", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: -n takes no {flag}\n"
+
     def test_requires_n_xor_kl(self, capsys):
         assert main(["ukl"]) == 2
         assert main(["ukl", "-k", "2"]) == 2
@@ -173,6 +184,11 @@ class TestScalars:
     def test_stirling(self, capsys):
         assert main(["stirling", "--n", "4", "--k", "2"]) == 0
         assert capsys.readouterr().out == "7\n"
+
+    def test_stirling_past_the_row_bound_is_usage_error(self, capsys):
+        assert main(["stirling", "--n", "2001", "--k", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2000" in err
 
     def test_bound_is_negative_at_seven(self, capsys):
         assert main(["bound", "--n", "7"]) == 0

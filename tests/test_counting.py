@@ -14,7 +14,8 @@ from regroot import (
     ukl_generators,
     ukl_size_formula,
 )
-from regroot.counting import HK_MAX_N
+from regroot import counting
+from regroot.counting import HK_MAX_N, STIRLING_MAX_N
 
 
 def partitions_into_blocks(items, k):
@@ -54,6 +55,13 @@ class TestStirling:
             stirling2(-1, 0)
         with pytest.raises(ValueError):
             stirling2(3, -1)
+
+    def test_rows_past_the_bound_are_refused_before_any_is_added(self):
+        rows = len(counting._stirling_rows)
+        with pytest.raises(ValueError, match=f"n = {STIRLING_MAX_N}"):
+            stirling2(STIRLING_MAX_N + 1, 3)
+        assert len(counting._stirling_rows) == rows
+        assert stirling2(STIRLING_MAX_N + 1, STIRLING_MAX_N + 2) == 0
 
     def test_big_row_is_exact(self):
         # row sums are Bell numbers; B(25) is known exactly

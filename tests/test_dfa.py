@@ -1,4 +1,5 @@
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ from regroot import (
     Dfa,
     DfaParseError,
     accepts,
+    dfa,
+    dfa_based_on,
     equivalent,
     identity,
     minimize,
     nerode_partition,
     parse,
+    root_automaton,
     serialize,
+    ukl_generators,
     unary_structure,
     word_transformation,
 )
-from regroot.dfa import ARRAY_REACH_MIN_STATES, _LEVEL_READS, _reach_levels, _reachable
+from regroot.dfa import _PASS_READS, _reachable
 
 from conftest import EXAMPLE_DFA_TEXT, counter_dfa, random_dfa, small_dfas
 
@@ -246,33 +251,55 @@ class TestMinimize:
         assert len(nerode_partition(d)) == minimize(d).n
 
 
-def reach_levels(d, max_levels):
-    out = _reach_levels(np.array(d.delta, dtype=np.int64), d.start, max_levels)
-    return None if out is None else out.tolist()
+def bfs_order(d):
+    # The plain scalar breadth-first walk, as in reference_minimize.
+    order, seen = [d.start], {d.start}
+    for q in order:
+        for row in d.delta:
+            if row[q - 1] not in seen:
+                seen.add(row[q - 1])
+                order.append(row[q - 1])
+    return order
 
 
-def partition_level_budget(d):
-    # The number of levels _partition lets the level walk take.
-    return d.n * len(d.alphabet) // _LEVEL_READS
+def walk(d):
+    # The walk's order, which must not depend on whether delta is given.
+    pieces = _reachable(d)
+    given = _reachable(d, np.array(d.delta, dtype=np.int64))
+    order = np.concatenate(pieces).tolist()
+    assert np.concatenate(given).tolist() == order
+    return order, pieces
 
 
 class TestReachLevels:
-    @given(small_dfas(max_states=8), st.integers(0, 3))
+    @given(small_dfas(max_states=8), st.integers(0, 3), st.sampled_from([0, 1, 2, 5, _PASS_READS]))
     @settings(max_examples=300)
-    def test_matches_the_scalar_walk(self, d, extra):
-        # States n+1..n+extra map to themselves and are never reached.
+    def test_matches_the_scalar_walk(self, d, extra, reads):
+        # States n+1..n+extra map to themselves and are never reached.  A
+        # small width constant sends the levels of a small DFA through numpy.
         n = d.n + extra
         d = Dfa(n, d.alphabet, [row + tuple(range(d.n + 1, n + 1)) for row in d.delta], d.start, ())
-        assert reach_levels(d, n) == _reachable(d)
+        with patch.object(dfa, "_PASS_READS", reads):
+            assert walk(d)[0] == bfs_order(d)
+
+    def test_u23_root_automaton_has_narrow_and_wide_levels(self):
+        d = root_automaton(dfa_based_on(ukl_generators(2, 3))).dfa
+        order, pieces = walk(d)
+        assert order == bfs_order(d)
+        assert {type(p) for p in pieces} == {list, np.ndarray}
 
     def test_random_dfa_above_the_threshold(self):
-        d = random_dfa(3 * ARRAY_REACH_MIN_STATES, 3, seed=8)
-        assert reach_levels(d, partition_level_budget(d)) == _reachable(d)
+        d = random_dfa(3_000, 3, seed=8)
+        order, pieces = walk(d)
+        assert order == bfs_order(d)
+        # All but the first few levels go through numpy.
+        assert sum(len(p) for p in pieces if isinstance(p, np.ndarray)) > 0.9 * len(order)
 
-    def test_deep_walk_is_handed_to_the_scalar_walk(self):
-        d = counter_dfa(2 * ARRAY_REACH_MIN_STATES, 5)
-        assert reach_levels(d, partition_level_budget(d)) is None
-        assert reach_levels(d, d.n) == _reachable(d)
+    def test_deep_walk_stays_scalar(self):
+        d = counter_dfa(20_000, 5)
+        order, pieces = walk(d)
+        assert order == bfs_order(d)
+        assert len(pieces) == 1
 
 
 class TestEquivalent:

@@ -8,11 +8,12 @@ their members, breadth first with letters in alphabet order.
 import random
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regroot import Dfa, dfa_based_on, minimize, nerode_partition, root_automaton, ukl_generators
-from regroot.dfa import ARRAY_REACH_MIN_STATES, chain_dfa
+from regroot.dfa import _reachable, chain_dfa
 
 from conftest import counter_dfa, random_dfa, small_dfas
 
@@ -86,18 +87,20 @@ def test_u23_root_automaton():
 
 
 def test_u23_root_automaton_is_above_the_level_walk_threshold():
-    # So test_u23_root_automaton checks the level walk, on 1,857 states.
-    assert ARRAY_REACH_MIN_STATES <= 1857
+    # So test_u23_root_automaton checks levels read one state at a time
+    # and levels read with numpy, on 1,857 states.
+    d = root_automaton(dfa_based_on(ukl_generators(2, 3))).dfa
+    assert {type(piece) for piece in _reachable(d)} == {list, np.ndarray}
 
 
 def test_deep_walk_above_the_threshold():
-    d = counter_dfa(ARRAY_REACH_MIN_STATES + 200, 5)
+    d = counter_dfa(1_200, 5)
     check(d)
     assert minimize(d).n == 5
 
 
 def test_random_dfa_above_the_threshold():
-    check(replace(random_dfa(2 * ARRAY_REACH_MIN_STATES, 3, seed=3), finals=range(1, 400)))
+    check(replace(random_dfa(2_000, 3, seed=3), finals=range(1, 400)))
 
 
 def test_chain_splits_one_singleton_a_round():
