@@ -240,12 +240,14 @@ def _dense_rank(key: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The reachable states in first-reach order, and three arrays over them.
+def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The reachable states in first-reach order, arrays over them, and reps.
 
     succ[j, i] is the 0-based position in that order of the successor of
     states[i] on letter j, fin[i] tells whether states[i] is final, and
-    cls[i] in 0..ncls-1 is its Nerode class.
+    cls[i] in 0..ncls-1 is its Nerode class.  Classes are numbered by first
+    reach: reps[c] is the position of the first member of class c, so reps
+    is increasing and cls[reps[c]] == c.
 
     Reachability.  Breadth first from the start, letters in alphabet
     order, so the order is that of first reach by lexicographically
@@ -266,7 +268,7 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     ranks.  The first piece keeps the class's id and the others take
     fresh ids from ncls up: the ids stay compact, and those of the
     states not keyed stay valid.  A round that splits no class ends the
-    refinement.
+    refinement.  Last, the classes are renumbered by their representatives.
     """
     delta = np.array(d.delta, dtype=np.int64)
     states = np.concatenate(_reachable(d, delta))
@@ -295,7 +297,10 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         ncls += fresh.size
         cls[live] = piece_cls[key]
         live = live[np.bincount(key)[key] > 1]
-    return states, succ, fin, cls
+    _, reps = np.unique(cls, return_index=True)
+    reps.sort()
+    # cls[reps] lists the refinement's ids in the new order; argsort inverts it.
+    return states, succ, fin, np.argsort(cls[reps])[cls], reps
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -305,30 +310,19 @@ def minimize(d: Dfa) -> Dfa:
     result is renumbered by order of first reach via lexicographically
     smallest words, so two equivalent inputs minimize to equal values.
     """
-    _, succ, fin, cls = _partition(d)
-    # The first member of each class in reach order stands for it, and
-    # the classes are numbered 1.. in the order of their representatives.
-    _, reps = np.unique(cls, return_index=True)
-    reps.sort()
-    number = np.empty(len(reps), dtype=np.int64)
-    number[cls[reps]] = np.arange(1, len(reps) + 1)
-    delta = number[cls[succ[:, reps]]].tolist()
+    _, succ, fin, cls, reps = _partition(d)
+    delta = (cls[succ[:, reps]] + 1).tolist()
     finals = (np.flatnonzero(fin[reps]) + 1).tolist()
     return Dfa(len(reps), d.alphabet, delta, 1, finals)
 
 
-def nerode_partition(d: Dfa) -> list[list[int]]:
-    """Equivalence classes of the reachable states, as sorted state lists."""
-    states, _, _, cls = _partition(d)
-    # Members sorted by class, then by state; each class is one run, and
-    # the runs are listed by their first, i.e. smallest, state.
-    by_class = np.lexsort((states, cls))
-    members = states[by_class]
-    starts = np.flatnonzero(np.diff(cls[by_class], prepend=-1))
-    ends = np.append(starts[1:], len(members))
-    first = np.argsort(members[starts])
-    members = members.tolist()
-    return [members[a:b] for a, b in zip(starts[first].tolist(), ends[first].tolist())]
+def nerode_partition(d: Dfa) -> tuple[np.ndarray, np.ndarray]:
+    """The reachable states in first-reach order, and the class of each.
+
+    State states[i] of d becomes state cls[i] + 1 of minimize(d).
+    """
+    states, _, _, cls, _ = _partition(d)
+    return states, cls
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:

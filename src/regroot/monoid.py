@@ -27,7 +27,7 @@ import numpy as np
 
 from .counting import _check_kl
 from .dfa import Dfa
-from .transform import Transformation, _as_int, _make, cycle_pair, identity
+from .transform import Transformation, _as_int, _as_points, _make, cycle_pair, identity
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 LARGEST2_MAX_N = 4
@@ -70,7 +70,10 @@ class TransMonoid:
         return self._position(f) is not None
 
     def element(self, i: int) -> Transformation:
-        return _make(self.rows[_as_int(i, "element number")].tolist())
+        i = _as_int(i, "element number")
+        if not 0 <= i < len(self.rows):
+            raise ValueError(f"element number {i} out of range 0..{len(self.rows) - 1}")
+        return _make(self.rows[i].tolist())
 
     def index_of(self, f) -> int:
         i = self._position(f)
@@ -244,6 +247,7 @@ def ukl_member(g, k: int, l: int) -> bool:
     row = tuple(g)
     if len(row) != n:
         raise ValueError(f"degree mismatch: {len(row)} vs {n}")
+    row = _as_points(row, n, "image value")
     if row in _alpha_power_rows(k, l):
         return True
     img = set(row)

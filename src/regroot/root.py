@@ -46,9 +46,10 @@ def accepting_transformation(f, q0: int, finals) -> bool:
     """True iff some positive iterate of f maps q0 into finals.
 
     Walks q0, f(q0), f(f(q0)), ...; after degree-many applications the
-    trajectory has visited every state it ever will.
+    trajectory has visited every state it ever will.  An f that is not a
+    Transformation is checked as one.
     """
-    row = tuple(f)
+    row = f if isinstance(f, Transformation) else Transformation(f)
     if type(q0) is not int:
         q0 = _as_int(q0, "state")
     if not 1 <= q0 <= len(row):
@@ -136,9 +137,8 @@ def unary_root(d: Dfa) -> Dfa:
         new_finals.add(1)
     for t in final_idx:
         if 1 <= t < j:
-            for s in _divisors(t):
-                pos = s if s < m else j + (s - j) % l
-                new_finals.add(pos + 1)
+            # s divides t < j, so a^s ends on the tail, at state s + 1.
+            new_finals.update(s + 1 for s in _divisors(t))
     loop_offsets = [b for b in final_idx if b >= j]
     if loop_offsets:
         for pos in range(m):

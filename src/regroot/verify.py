@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from .counting import (
     _check_kl,
     best_coprime_pair,
@@ -140,12 +142,14 @@ def suite_min_dfa(k: int, l: int) -> VerifyReport:
     rec.add("monoid-size-vs-formula", len(m) == formula, formula, len(m))
 
     ra = root_automaton(dfa_based_on(gens), monoid=m)
-    blocks = nerode_partition(ra.dfa)
+    states, cls = nerode_partition(ra.dfa)
+    sizes = np.bincount(cls)
     want_pairs = binomial(n, 2)
     want = formula - want_pairs
-    rec.add("root-state-complexity", len(blocks) == want, want, len(blocks))
+    rec.add("root-state-complexity", len(sizes) == want, want, len(sizes))
 
-    pairs = [b for b in blocks if len(b) == 2]
+    two = np.flatnonzero(sizes[cls] == 2)
+    pairs = states[two][np.lexsort((states[two], cls[two]))].reshape(-1, 2).tolist()
     rec.add("two-element-classes", len(pairs) == want_pairs, want_pairs, len(pairs))
 
     shape_ok = True
@@ -162,11 +166,11 @@ def suite_min_dfa(k: int, l: int) -> VerifyReport:
         "all conform" if shape_ok else "violation found",
     )
 
-    larger = [b for b in blocks if len(b) > 2]
-    rec.add("no-larger-classes", not larger, 0, len(larger))
+    larger = np.count_nonzero(sizes > 2)
+    rec.add("no-larger-classes", not larger, 0, larger)
 
     want_classes = len(m) - want_pairs
-    rec.add("class-count", len(blocks) == want_classes, want_classes, len(blocks))
+    rec.add("class-count", len(sizes) == want_classes, want_classes, len(sizes))
     return rec.report("min-dfa", {"k": k, "l": l})
 
 
@@ -222,9 +226,10 @@ def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> Verify
     rec = _Recorder()
     for n in range(2, max_n + 1):
         d = _single_word_dfa(n)
+        root = unary_root(d)
         sc = minimize(d).n
-        root_sc = minimize(unary_root(d)).n
-        agree = equivalent(unary_root(d), root_automaton(d).dfa)
+        root_sc = minimize(root).n
+        agree = equivalent(root, root_automaton(d).dfa)
         ok = sc == n and root_sc == n and agree
         rec.add(
             f"single-word-n={n:02d}",

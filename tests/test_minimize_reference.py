@@ -18,7 +18,7 @@ from regroot.dfa import _reachable, chain_dfa
 from conftest import counter_dfa, random_dfa, small_dfas
 
 
-def reference_minimize(d: Dfa) -> tuple[Dfa, list[list[int]]]:
+def reference_minimize(d: Dfa) -> tuple[Dfa, list[int], list[int]]:
     order = [d.start]
     for q in order:
         for row in d.delta:
@@ -40,14 +40,15 @@ def reference_minimize(d: Dfa) -> tuple[Dfa, list[list[int]]]:
             reps.append(q)
     delta = tuple(tuple(number[block[row[q - 1]]] for q in reps) for row in d.delta)
     finals = frozenset(number[block[q]] for q in reps if q in d.finals)
-    blocks = sorted(sorted(q for q in order if block[q] == b) for b in number)
-    return Dfa(len(reps), d.alphabet, delta, 1, finals), blocks
+    return Dfa(len(reps), d.alphabet, delta, 1, finals), order, [number[block[q]] for q in order]
 
 
 def check(d: Dfa) -> None:
-    want_dfa, want_blocks = reference_minimize(d)
+    want_dfa, want_order, want_numbers = reference_minimize(d)
     assert minimize(d) == want_dfa
-    assert nerode_partition(d) == want_blocks
+    states, cls = nerode_partition(d)
+    assert states.tolist() == want_order
+    assert (cls + 1).tolist() == want_numbers
 
 
 @given(small_dfas(max_states=8))

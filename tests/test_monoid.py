@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -93,6 +94,12 @@ class TestClosure:
     def test_element_number_must_be_an_integer(self, i):
         m = closure(tn_generators(2))
         with pytest.raises(ValueError, match=f"element number {i} is not an integer"):
+            m.element(i)
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_element_number_must_be_in_range(self, i):
+        m = closure(tn_generators(2))
+        with pytest.raises(ValueError, match=rf"element number {i} out of range 0\.\.3"):
             m.element(i)
 
     def test_index_of_rejects_outsiders(self):
@@ -220,6 +227,19 @@ class TestUklMember:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             ukl_member(identity(4), 2, 3)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((9, 9, 9, 9, 9), "image value 9 out of range 1..5"),
+            ((0, 0, 0, 0, 0), "image value 0 out of range 1..5"),
+            ((1.0, 1, 1, 1, 1), "image value 1.0 is not an integer"),
+            ((True, 1, 1, 1, 1), "image value True is not an integer"),
+        ],
+    )
+    def test_rows_that_are_not_maps_are_refused(self, row, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ukl_member(row, 2, 3)
 
     def test_alpha_powers_are_the_closure_of_alpha(self):
         for k, l in itertools.product(range(2, 9), repeat=2):

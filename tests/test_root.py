@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,19 @@ class TestAcceptingTransformation:
         with pytest.raises(ValueError, match=f"state {q0} is not an integer"):
             accepting_transformation((2, 1), q0, {1})
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((2, 9), "image value 9 out of range 1..2"),
+            ((0, 1), "image value 0 out of range 1..2"),
+            ((2.0, 1), "image value 2.0 is not an integer"),
+            ((True, 1), "image value True is not an integer"),
+        ],
+    )
+    def test_rejects_rows_that_are_not_maps(self, row, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            accepting_transformation(row, 1, {2})
+
 
 class TestRootAutomaton:
     def test_example_dfa_state_count(self, example_dfa):
@@ -64,6 +78,12 @@ class TestRootAutomaton:
         assert ra.dfa.start == 1
         assert ra.element_of(1) == identity(5)
         assert ra.origin is example_dfa
+
+    @pytest.mark.parametrize("state", [0, 1858])
+    def test_element_of_refuses_states_out_of_range(self, example_dfa, state):
+        ra = root_automaton(example_dfa)
+        with pytest.raises(ValueError, match=rf"element number {state - 1} out of range 0\.\.1856"):
+            ra.element_of(state)
 
     def test_empty_language_accepts_nothing(self, example_dfa):
         d = Dfa(5, example_dfa.alphabet, example_dfa.delta, 1, frozenset())
