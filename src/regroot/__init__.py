@@ -37,6 +37,7 @@ from .monoid import (
     transformation_monoid,
     ukl_generators,
     ukl_member,
+    ukl_member_mask,
 )
 from .root import (
     RootAutomaton,
@@ -103,6 +104,7 @@ __all__ = [
     "ukl_gap",
     "ukl_generators",
     "ukl_member",
+    "ukl_member_mask",
     "ukl_size_formula",
     "unary_root",
     "unary_structure",

@@ -3,18 +3,30 @@
 A monoid of degree n is stored as one (m, n) uint8 array of 1-based image
 rows: the identity first, then the other elements sorted
 lexicographically, so the numbering does not depend on generator order.
-Each row's n bytes, read as a numpy ``S{n}`` string, are its key.  numpy
-compares such strings bytewise as unsigned values, so key order is the
-lexicographic order of the rows; the images are 1..n <= MAX_DEGREE = 255
-and never 0, so the trailing NULs numpy strips from ``S`` values never
-merge two keys.
+Two indexes lead from a row to its number.
+
+Keys, for every degree.  Each row's n bytes, read as a numpy ``S{n}``
+string, are its key.  numpy compares such strings bytewise as unsigned
+values, so key order is the lexicographic order of the rows; the images
+are 1..n <= MAX_DEGREE = 255 and never 0, so the trailing NULs numpy
+strips from ``S`` values never merge two keys.  A key is looked up by a
+binary search among the sorted keys.
+
+Codes, for n <= 8.  A row's base-n code is sum (row[i] - 1) n^(n-1-i), in
+0..n^n - 1; codes also order as the rows do lexicographically.  Dense maps
+indexed by code stand in for the keys where they pay: a bool map of the
+codes seen, and an int32 map from code to element number, which makes a
+right translation, one row of the right Cayley graph (Froidure and Pin,
+"Algorithms for computing finite semigroups", 1997), a single gather.
 
 The closure of a generator set is a breadth-first search one frontier at
 a time: the frontier's rows, packed into one bytes buffer, are composed
 with a generator g by a single ``bytes.translate`` through the 256-byte
-table v -> g(v), and the products are deduplicated as bytes in a set.
-Every product of generators is reachable that way.  One sort of the keys
-gives the canonical order at the end.
+table v -> g(v).  Narrow levels deduplicate the products as bytes in a
+set; from the first wide level on, the products are encoded, filtered
+through the bool map and deduplicated by a sort.  Every product of
+generators is reachable that way.  One sort of the keys or of the codes
+gives the canonical order at the end, the same rows on either path.
 """
 
 from __future__ import annotations
@@ -31,6 +43,17 @@ from .transform import Transformation, _as_int, _as_points, _make, cycle_pair, i
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 LARGEST2_MAX_N = 4
+
+# Dense maps over the n^n base-n codes may take _DENSE_BYTES together: n^n
+# for closure's bool map and 4 n^n for TransMonoid's int32 number map, so
+# n <= 8; larger degrees always keep the set of keys and the key search.
+# A pass over p products (a closure level, a right translation) runs on a
+# map of b bytes when p > _DENSE_WIDTH + b // _DENSE_SPREAD: numpy's fixed
+# cost per pass is worth _DENSE_WIDTH products on keys, and the map's
+# zeroed pages about one product per _DENSE_SPREAD bytes.
+_DENSE_BYTES = 100_000_000
+_DENSE_WIDTH = 512
+_DENSE_SPREAD = 2048
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -54,6 +77,7 @@ class TransMonoid:
         rows.flags.writeable = False
         self.rows = rows
         self._keys = rows.view(f"S{degree}").ravel()
+        self._number = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -110,13 +134,21 @@ class TransMonoid:
         automaton, whose state s is element s - 1.
         """
         g = g if isinstance(g, Transformation) else Transformation(g)
-        if g.degree != self.degree:
-            raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
+        n = self.degree
+        if g.degree != n:
+            raise ValueError(f"degree mismatch: {g.degree} vs {n}")
         products = self.rows.tobytes().translate(_table(g))
-        pos = self._numbers(np.frombuffer(products, self._keys.dtype))
-        if (pos < 0).any():
+        if _dense_pays(n, len(self.rows), 4):
+            if self._number is None:
+                # The element number plus one at each element's code, else 0.
+                self._number = np.zeros(n**n, np.int32)
+                self._number[_codes(self.rows)] = np.arange(1, len(self.rows) + 1)
+            pos = self._number[_codes(_unpack(products, n))]
+        else:
+            pos = self._numbers(np.frombuffer(products, self._keys.dtype)) + 1
+        if not pos.all():
             raise ValueError(f"this monoid is not closed under multiplication by {tuple(g)}")
-        return pos + 1
+        return pos
 
     def rank_histogram(self) -> dict[int, int]:
         """Count of elements per rank."""
@@ -134,6 +166,14 @@ def _table(g: Transformation) -> bytes:
     # f gives the row of f * g; 0 and the values above the degree never
     # occur in a row.
     return bytes(1) + bytes(g) + bytes(255 - len(g))
+
+
+def _dense_pays(n: int, products: int, code_bytes: int) -> bool:
+    # Whether a pass over this many products of degree n runs on a dense
+    # map of code_bytes bytes per code.
+    if 5 * n**n > _DENSE_BYTES:
+        return False
+    return products > _DENSE_WIDTH + code_bytes * n**n // _DENSE_SPREAD
 
 
 def _one_degree(maps, empty: str) -> tuple[list[Transformation], int]:
@@ -164,6 +204,10 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
     seen = {ident}
     frontier = ident
     while frontier:
+        if _dense_pays(n, len(frontier) // n * len(tables), 1):
+            codes = _dense_closure(seen, frontier, tables, n, cap)
+            rest = _decode(codes[codes != _codes(_unpack(ident, n))], n)
+            break
         fresh = set()
         for t in tables:
             fresh.update(np.frombuffer(frontier.translate(t), key).tolist())
@@ -172,10 +216,61 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
             raise ClosureBudgetError(f"closure exceeds the cap of {cap} elements")
         seen |= fresh
         frontier = b"".join(fresh)
-    seen.remove(ident)
-    rest = np.sort(np.frombuffer(b"".join(seen), key))
+    else:
+        seen.remove(ident)
+        rest = np.sort(np.frombuffer(b"".join(seen), key))
     rows = np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n)
     return TransMonoid(n, rows, gens)
+
+
+def _dense_closure(seen: set, frontier: bytes, tables: list, n: int, cap: int) -> np.ndarray:
+    # closure's search from the given frontier on, with a bool map over the
+    # n^n codes in place of the set of the rows seen so far.  Returns the
+    # sorted codes of all the elements.
+    known = np.zeros(n**n, bool)
+    found = [_codes(_unpack(b"".join(seen), n))]
+    known[found[0]] = True
+    size = len(seen)
+    while frontier:
+        codes = _codes(_unpack(b"".join(frontier.translate(t) for t in tables), n))
+        fresh = np.sort(codes[~known[codes]])
+        first = np.ones(len(fresh), bool)
+        first[1:] = fresh[1:] != fresh[:-1]
+        fresh = fresh[first]
+        size += len(fresh)
+        if size > cap:
+            raise ClosureBudgetError(f"closure exceeds the cap of {cap} elements")
+        known[fresh] = True
+        found.append(fresh)
+        frontier = _decode(fresh, n).tobytes()
+    return np.sort(np.concatenate(found))
+
+
+def _unpack(packed: bytes, n: int) -> np.ndarray:
+    return np.frombuffer(packed, np.uint8).reshape(-1, n)
+
+
+def _codes(rows: np.ndarray) -> np.ndarray:
+    # The base-n code sum (row[i] - 1) n^(n-1-i) of each row, in int32, one
+    # column at a time: codes order as the rows do lexicographically.
+    n = rows.shape[1]
+    code = rows[:, 0].astype(np.int32)
+    for i in range(1, n):
+        code *= n
+        code += rows[:, i]
+    code -= sum(n**i for i in range(n))
+    return code
+
+
+def _decode(codes: np.ndarray, n: int) -> np.ndarray:
+    # The (len(codes), n) uint8 rows of the base-n codes.
+    rows = np.empty((len(codes), n), np.uint8)
+    rest = codes.copy()
+    for i in range(n - 1, -1, -1):
+        rows[:, i] = rest % n
+        rest //= n
+    rows += 1
+    return rows
 
 
 def transformation_monoid(d: Dfa, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
@@ -256,6 +351,36 @@ def ukl_member(g, k: int, l: int) -> bool:
     return any(row[i] == row[j] for i in range(k) for j in range(k, n))
 
 
+def ukl_member_mask(rows, k: int, l: int) -> np.ndarray:
+    """ukl_member for every row of an (m, k + l) integer array, as a bool mask."""
+    k, l = _check_kl(k, l)
+    n = k + l
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"need an (m, {n}) array of image rows, got shape {rows.shape}")
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"image rows must be integers, got {rows.dtype}")
+    bad = (rows < 1) | (rows > n)
+    if bad.any():
+        raise ValueError(f"image value {rows[bad][0]} out of range 1..{n}")
+    r = rows.astype(np.int16)
+    # alpha^t sends i <= k to (i - 1 + t) mod k + 1 and i > k to
+    # k + (i - k - 1 + t) mod l + 1.  Read t mod k off the image of 1 and
+    # t mod l off that of k + 1; k and l are coprime, so every such pair
+    # is one power.
+    low = (np.arange(k) + r[:, :1] - 1) % k + 1
+    high = (np.arange(l) + r[:, k : k + 1] - k - 1) % l + k + 1
+    power = (r[:, :k] == low).all(axis=1) & (r[:, k:] == high).all(axis=1)
+    misses = np.zeros(len(r), bool)
+    for p in range(k + 1, n + 1):
+        misses |= ~(r == p).any(axis=1)
+    merges = np.zeros(len(r), bool)
+    for i in range(k):
+        for j in range(k, n):
+            merges |= r[:, i] == r[:, j]
+    return power | misses & merges
+
+
 def largest_two_generated(n: int) -> tuple[int, tuple[Transformation, Transformation]]:
     """Exhaustive maximum closure size over the generator pairs of degree n.
 
@@ -273,13 +398,12 @@ def largest_two_generated(n: int) -> tuple[int, tuple[Transformation, Transforma
         raise ValueError(
             f"exhaustive pair search at degree {n} is over the budget of n <= {LARGEST2_MAX_N}"
         )
-    # Row r of `points` is the map number r in sorted order, 0-based, and
-    # its base-n value is r; p[f[p^-1]] is f with each point i renamed p[i].
-    points = np.array(list(itertools.product(range(n), repeat=n))).reshape(-1, n)
-    weights = n ** np.arange(n - 1, -1, -1)
-    perms = [np.array(p) for p in itertools.permutations(range(n))]
-    smallest = np.min([p[points[:, np.argsort(p)]] @ weights for p in perms], axis=0)
-    maps = [_make(row) for row in (points + 1).tolist()]
+    # Row r of `rows` is the map number r in sorted order, of code r; with
+    # p[0] = 0, p[f[p^-1]] is f with each point i renamed p[i].
+    rows = _decode(np.arange(n**n, dtype=np.int32), n)
+    perms = [np.array((0,) + p, np.uint8) for p in itertools.permutations(range(1, n + 1))]
+    smallest = np.min([_codes(p[rows[:, np.argsort(p[1:])]]) for p in perms], axis=0)
+    maps = [_make(row) for row in rows.tolist()]
     firsts = [maps[r] for r in np.unique(smallest).tolist()]
     pair = max(itertools.product(firsts, maps), key=lambda fg: len(closure(fg)))
     return len(closure(pair)), pair

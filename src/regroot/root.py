@@ -8,9 +8,12 @@ maps, i.e. the transformation monoid, are ever materialized.
 
 The construction works on the monoid's packed image rows (see `monoid`):
 a letter acting as g moves element f to f * g, so its transition row is
-the monoid's right translation by g, one binary search of the product
-keys among the sorted element keys; the finals come from iterating
-q -> f(q) degree-many times over all rows at once.
+the monoid's right translation by g, the row of the right Cayley graph
+for g.  That is one gather of the products' base-n codes through the
+monoid's dense code-to-number map for large monoids of degree at most 8,
+and one binary search of the product keys among the sorted element keys
+otherwise.  The finals come from iterating q -> f(q) degree-many times
+over all rows at once.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ class RootAutomaton:
 
     def element_of(self, state: int) -> Transformation:
         """The transformation behind a state of the underlying Dfa."""
+        state = _as_int(state, "state")
+        if not 1 <= state <= len(self.monoid):
+            raise ValueError(f"state {state} out of range 1..{len(self.monoid)}")
         return self.monoid.element(state - 1)
 
 

@@ -117,7 +117,7 @@ def _check_range(suite: str, param: str, value, lo: int, hi: int) -> int:
 
 # The budget of each suite, a check of its positional arguments that it
 # makes before any work.
-_budget_full_tn = partial(_check_range, "full-monoid check", "n", lo=1, hi=6)
+_budget_full_tn = partial(_check_range, "full-monoid check", "n", lo=1, hi=7)
 _budget_min_dfa = partial(_check_pair, max_total=7)
 _budget_start_final = partial(_check_pair, max_total=5)
 _budget_unary = partial(_check_range, "unary suite", "max_n", lo=2, hi=14)

@@ -297,7 +297,7 @@ class TestVerify:
         monkeypatch.setitem(verify.SUITES, "full-tn", (lambda n: calls.append(n), budget, runs))
         assert main(["verify", "--suite", "full-tn", "--max-n", "9"]) == 2
         assert calls == []
-        assert "1 <= n <= 6, got 7" in capsys.readouterr().err
+        assert "1 <= n <= 7, got 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["full-tn", "min-dfa", "unary", "gap", "lower-bound"])
     def test_max_n_zero_is_not_the_default(self, suite, capsys):

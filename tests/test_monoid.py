@@ -3,6 +3,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from regroot import (
@@ -18,12 +19,19 @@ from regroot import (
     transformation_monoid,
     ukl_generators,
     ukl_member,
+    ukl_member_mask,
 )
 from regroot.monoid import _alpha_power_rows, _pi2
 
 
 def all_maps(n):
     return [Transformation(t) for t in itertools.product(range(1, n + 1), repeat=n)]
+
+
+def all_rows(n):
+    # The n^n image rows of degree n as an (n^n, n) uint8 array, in
+    # lexicographic order.
+    return np.indices((n,) * n, dtype=np.uint8).reshape(n, -1).T + 1
 
 
 class TestClosure:
@@ -214,15 +222,45 @@ class TestUklMember:
         members = {t for t in all_maps(5) if ukl_member(t, 2, 3)}
         m = closure(ukl_generators(2, 3))
         assert members == set(m)
+        rows = all_rows(5)
+        assert ukl_member_mask(rows, 2, 3).tolist() == [ukl_member(t, 2, 3) for t in rows.tolist()]
 
     def test_membership_count_equals_closure_at_3_4(self):
-        count = sum(
-            1
-            for t in itertools.product(range(1, 8), repeat=7)
-            if ukl_member(t, 3, 4)
-        )
+        rows = all_rows(7)
+        members = rows[ukl_member_mask(rows, 3, 4)]
         # |U_{3,4}| by closure is pinned by test_acceptance's min-dfa check.
-        assert count == 607285
+        assert len(members) == 607285
+        # members are sorted, and so are the closure's rows after its identity.
+        keys = np.sort(closure(ukl_generators(3, 4)).rows.view("S7").ravel())
+        assert np.array_equal(members.view("S7").ravel(), keys)
+
+    @pytest.mark.parametrize("k, l", [(2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (5, 2)])
+    def test_mask_agrees_with_the_scalar_form_on_a_sample(self, k, l):
+        n = k + l
+        sample = np.random.default_rng(k * 10 + l).integers(1, n + 1, size=(1000, n))
+        # Random rows are almost never permutations: add the powers of the
+        # double cycle, and permutations that are not.
+        powers = np.array(sorted(_alpha_power_rows(k, l)))
+        others = np.array(list(itertools.islice(itertools.permutations(range(1, n + 1)), 200)))
+        rows = np.concatenate([sample, powers, others])
+        mask = ukl_member_mask(rows, k, l)
+        assert mask.tolist() == [ukl_member(t, k, l) for t in rows.tolist()]
+        assert mask[1000 : 1000 + k * l].all()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (np.ones((3, 4), int), "need an (m, 5) array of image rows, got shape (3, 4)"),
+            (np.ones(5, int), "need an (m, 5) array of image rows, got shape (5,)"),
+            (np.full((2, 5), 6), "image value 6 out of range 1..5"),
+            (np.zeros((2, 5), np.uint8), "image value 0 out of range 1..5"),
+            (np.ones((2, 5)), "image rows must be integers, got float64"),
+            (np.ones((2, 5), bool), "image rows must be integers, got bool"),
+        ],
+    )
+    def test_mask_refuses_arrays_that_are_not_rows(self, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ukl_member_mask(rows, 2, 3)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

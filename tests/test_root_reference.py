@@ -5,6 +5,11 @@ closure over image-row tuples with a set of the rows seen, and a root
 automaton whose letter rows look each product f * g up in a dict of the
 element numbers and whose finals come from accepting_transformation, one
 element at a time.
+
+Both constructions have two paths, chosen by the monoid: wide closure
+levels and large right translations of degree at most 8 run on dense maps
+over the base-n codes, and the rest on keys.  The cases below name the
+path they take, on each side of that crossover.
 """
 
 from collections import deque
@@ -15,16 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regroot import (
+    ClosureBudgetError,
     Dfa,
+    Transformation,
     accepting_transformation,
     closure,
     cycle_pair,
     dfa_based_on,
     root_automaton,
     root_member_oracle,
+    tn_generators,
     transformation_monoid,
     ukl_generators,
 )
+from regroot import monoid
 
 from conftest import small_dfas
 
@@ -158,3 +167,82 @@ def test_finals_against_the_power_oracle(d):
     assert len(word) == ra.dfa.n
     for s, w in word.items():
         assert (s in ra.dfa.finals) == root_member_oracle(d, w)
+
+
+@pytest.fixture
+def dense_closures(monkeypatch):
+    # The degree of each closure that runs its wide levels on the dense map.
+    calls = []
+    real = monoid._dense_closure
+
+    def spy(seen, frontier, tables, n, cap):
+        calls.append(n)
+        return real(seen, frontier, tables, n, cap)
+
+    monkeypatch.setattr(monoid, "_dense_closure", spy)
+    return calls
+
+
+# T_5 x C_4 on degree 9: 12,260 elements, so wide enough for the dense
+# maps, but 9^9 codes are over their byte budget.
+DEGREE_9 = [
+    Transformation((2, 1, 3, 4, 5, 7, 8, 9, 6)),
+    Transformation((2, 3, 4, 5, 1, 6, 7, 8, 9)),
+    Transformation((1, 2, 3, 4, 1, 6, 7, 8, 9)),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, dense",
+    [
+        (tn_generators(3), False),
+        (tn_generators(4), False),
+        (tn_generators(5), True),
+        (tn_generators(6), True),
+        (ukl_generators(2, 3), True),
+        (DEGREE_9, False),
+    ],
+    ids=["T3", "T4", "T5", "T6", "U23", "degree-9"],
+)
+def test_each_side_of_the_crossover(gens, dense, dense_closures):
+    m = closure(gens)
+    d = dfa_based_on(gens, finals=(1, 2))
+    ra = root_automaton(d, monoid=m)
+    assert bool(dense_closures) == dense
+    assert (m._number is not None) == dense
+    rows = reference_closure(gens)
+    assert list(m) == rows
+    assert ra.dfa == reference_root(d, rows)
+
+
+def test_u34_dense_against_keys(dense_closures, monkeypatch):
+    # The tuple references take seconds at 607,285 elements; the key path,
+    # which they check above, stands in for them.
+    gens = ukl_generators(3, 4)
+    m = closure(gens)
+    dense = [m.right_translation(g) for g in gens]
+    assert dense_closures == [7] and m._number is not None
+    monkeypatch.setattr(monoid, "_DENSE_BYTES", 0)
+    keys = closure(gens)
+    assert dense_closures == [7]
+    assert keys.rows.tobytes() == m.rows.tobytes()
+    for g, row in zip(gens, dense):
+        assert keys.right_translation(g).tolist() == row.tolist()
+    assert keys._number is None
+
+
+def test_cap_on_the_dense_path(dense_closures):
+    gens = tn_generators(5)
+    assert len(closure(gens, max_elements=3125)) == 3125
+    with pytest.raises(ClosureBudgetError, match="cap of 3124 elements"):
+        closure(gens, max_elements=3124)
+    assert dense_closures == [5, 5]
+
+
+def test_dense_translation_of_a_monoid_missing_a_product():
+    m = closure(ukl_generators(2, 3))
+    with pytest.raises(ValueError, match="not closed"):
+        m.right_translation(Transformation((3, 2, 1, 4, 5)))
+    assert m._number is not None
+    with pytest.raises(ValueError, match="not closed"):
+        root_automaton(dfa_based_on(tn_generators(5)), monoid=m)

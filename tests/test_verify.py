@@ -90,8 +90,12 @@ class TestFullTn:
         assert case_by_name(r, "root-state-complexity").measured == str(expected)
 
     def test_budget(self):
-        with pytest.raises(ValueError):
-            suite_full_tn(7)
+        # T_7 is within the budget, though the default runs stop at 6.
+        _, budget, runs = SUITES["full-tn"]
+        assert budget(7) == 7
+        assert max(runs) == (6,)
+        with pytest.raises(ValueError, match="1 <= n <= 7, got 8"):
+            suite_full_tn(8)
         with pytest.raises(ValueError):
             suite_full_tn(0)
 
