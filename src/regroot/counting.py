@@ -7,13 +7,15 @@ bound, which is an inequality check and is evaluated in floating point.
 from __future__ import annotations
 
 import math
+from operator import add, mul
 
 from .transform import _as_int
 
-# Triangular memo table; row n holds the values for 0..n. Rows are only
-# ever appended, so concurrent readers always see consistent data.
-_stirling_rows: list[list[int]] = [[1]]
-# The last row the table may grow to: rows up to 2,000 take about 1.7 GB.
+# The rows of the Stirling triangle that callers asked for, by n; row n
+# holds the values for k = 0..n and is stored only when complete.
+_stirling_rows: dict[int, list[int]] = {0: [1]}
+# The largest n served: a new row takes O(n^2) big-integer steps from the
+# nearest kept row, about 2.5 s from row 0 to row 2,000.
 STIRLING_MAX_N = 2_000
 
 
@@ -21,8 +23,9 @@ def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into k nonempty blocks.
 
     Zero whenever k > n or k < 1 (except the empty partition at n = k = 0).
-    A ValueError for n > STIRLING_MAX_N otherwise, as the table of rows
-    up to n would take too much memory.
+    A ValueError for n > STIRLING_MAX_N otherwise, as the recurrence up to
+    n would take too long.  Only the previous row is held on the way to
+    row n, which is then kept.
     """
     if type(n) is not int or type(k) is not int:
         n, k = _as_int(n, "n"), _as_int(k, "k")
@@ -30,18 +33,16 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError(f"arguments must be nonnegative integers, got ({n!r}, {k!r})")
     if k > n or (n > 0 and k < 1):
         return 0
-    if n >= len(_stirling_rows):
+    row = _stirling_rows.get(n)
+    if row is None:
         if n > STIRLING_MAX_N:
-            raise ValueError(f"stirling2 keeps rows up to n = {STIRLING_MAX_N}, got n = {n}")
-        while len(_stirling_rows) <= n:
-            prev = _stirling_rows[-1]
-            m = len(_stirling_rows)
-            row = [0] * (m + 1)
-            for i in range(1, m):
-                row[i] = prev[i - 1] + i * prev[i]
-            row[m] = 1
-            _stirling_rows.append(row)
-    return _stirling_rows[n][k]
+            raise ValueError(f"stirling2 computes rows up to n = {STIRLING_MAX_N}, got n = {n}")
+        m = max(filter(n.__gt__, list(_stirling_rows)))  # the nearest kept row below
+        row = _stirling_rows[m]
+        for m in range(m + 1, n + 1):
+            row = [0, *map(add, row, map(mul, range(1, m), row[1:])), 1]
+        _stirling_rows[n] = row
+    return row[k]
 
 
 def binomial(n: int, k: int) -> int:

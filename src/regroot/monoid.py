@@ -15,18 +15,23 @@ binary search among the sorted keys.
 Codes, for n <= 8.  A row's base-n code is sum (row[i] - 1) n^(n-1-i), in
 0..n^n - 1; codes also order as the rows do lexicographically.  Dense maps
 indexed by code stand in for the keys where they pay: a bool map of the
-codes seen, and an int32 map from code to element number, which makes a
-right translation, one row of the right Cayley graph (Froidure and Pin,
-"Algorithms for computing finite semigroups", 1997), a single gather.
+codes found, and an int32 map from code to element number plus one.
 
-The closure of a generator set is a breadth-first search one frontier at
-a time: the frontier's rows, packed into one bytes buffer, are composed
-with a generator g by a single ``bytes.translate`` through the 256-byte
-table v -> g(v).  Narrow levels deduplicate the products as bytes in a
-set; from the first wide level on, the products are encoded, filtered
-through the bool map and deduplicated by a sort.  Every product of
-generators is reachable that way.  One sort of the keys or of the codes
-gives the canonical order at the end, the same rows on either path.
+The closure of a generator set is one breadth-first loop, a level at a
+time: the level's rows, packed into one bytes buffer, are composed with
+each generator g by a single ``bytes.translate`` through the 256-byte
+table v -> g(v).  The products are deduplicated against the rows found
+so far, held as a set of keys and, from the first level wide enough for
+the dense map, as the bool map.  Every product of generators is reachable
+that way.  The canonical order is read off at the end: the sorted keys,
+or the map's codes in order, the same rows either way.
+
+One lookup, TransMonoid._numbers, takes packed rows to their element
+numbers plus one, 0 for a row that is no element; it alone chooses
+between the int32 map and the keys.  index_of, membership and the right
+translations go through it.  A right translation, one row of the right
+Cayley graph (Froidure and Pin, "Algorithms for computing finite
+semigroups", 1997), is one lookup of all the products f * g at once.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ class TransMonoid:
         return map(tuple, self.rows.tolist())
 
     def __contains__(self, f) -> bool:
-        return self._position(f) is not None
+        return self._lookup(f) > 0
 
     def element(self, i: int) -> Transformation:
         i = _as_int(i, "element number")
@@ -100,31 +105,37 @@ class TransMonoid:
         return _make(self.rows[i].tolist())
 
     def index_of(self, f) -> int:
-        i = self._position(f)
-        if i is None:
+        i = self._lookup(f) - 1
+        if i < 0:
             raise ValueError(f"{tuple(f)} is not an element of this monoid")
         return i
 
-    def _position(self, f) -> int | None:
+    def _lookup(self, f) -> int:
+        # The element number plus one of the row f, or 0 where it is none.
         row = tuple(f)
         try:
-            key = bytes(row)
+            packed = bytes(row)
         except (TypeError, ValueError):
-            return None
-        if len(key) != self.degree:
-            return None
-        i = int(self._numbers(np.array([key], self._keys.dtype))[0])
-        return i if i >= 0 else None
+            return 0
+        return int(self._numbers(packed)[0]) if len(packed) == self.degree else 0
 
-    def _numbers(self, keys: np.ndarray) -> np.ndarray:
-        # The element number of each key, or -1 where it is no element.
-        # Keys hold no 0 byte, so NUL-padded values never match by accident.
+    def _numbers(self, packed: bytes) -> np.ndarray:
+        # The element number plus one of each row packed in `packed`, or 0
+        # where the row is no element: a gather through the dense number map
+        # where it pays, else a binary search of the keys.  Keys hold no 0
+        # byte, so NUL-padded values never match by accident.
+        n = self.degree
+        if _dense_pays(n, len(packed) // n, 4):
+            if self._number is None:
+                self._number = np.zeros(n**n, np.int32)
+                self._number[_codes(self.rows)] = np.arange(1, len(self.rows) + 1)
+            return self._number[_codes(_unpack(packed, n))]
+        keys = np.frombuffer(packed, self._keys.dtype)
         own = self._keys
         pos = np.searchsorted(own[1:], keys) + 1  # own[1:] is sorted
         pos[keys == own[0]] = 0
         np.minimum(pos, len(own) - 1, out=pos)
-        pos[own[pos] != keys] = -1
-        return pos
+        return np.where(own[pos] == keys, pos + 1, 0)
 
     def right_translation(self, g) -> np.ndarray:
         """The number plus one of f * g for each element f, as an array in
@@ -134,18 +145,9 @@ class TransMonoid:
         automaton, whose state s is element s - 1.
         """
         g = g if isinstance(g, Transformation) else Transformation(g)
-        n = self.degree
-        if g.degree != n:
-            raise ValueError(f"degree mismatch: {g.degree} vs {n}")
-        products = self.rows.tobytes().translate(_table(g))
-        if _dense_pays(n, len(self.rows), 4):
-            if self._number is None:
-                # The element number plus one at each element's code, else 0.
-                self._number = np.zeros(n**n, np.int32)
-                self._number[_codes(self.rows)] = np.arange(1, len(self.rows) + 1)
-            pos = self._number[_codes(_unpack(products, n))]
-        else:
-            pos = self._numbers(np.frombuffer(products, self._keys.dtype)) + 1
+        if g.degree != self.degree:
+            raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
+        pos = self._numbers(self.rows.tobytes().translate(_table(g)))
         if not pos.all():
             raise ValueError(f"this monoid is not closed under multiplication by {tuple(g)}")
         return pos
@@ -201,49 +203,39 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
     tables = [_table(g) for g in dict.fromkeys(gens)]
     key = np.dtype(f"S{n}")
     ident = bytes(range(1, n + 1))
-    seen = {ident}
+    seen = {ident}  # the rows found, until the first wide level
+    known = None  # from then on, the bool map of the codes found
+    size = 1
     frontier = ident
     while frontier:
-        if _dense_pays(n, len(frontier) // n * len(tables), 1):
-            codes = _dense_closure(seen, frontier, tables, n, cap)
-            rest = _decode(codes[codes != _codes(_unpack(ident, n))], n)
-            break
-        fresh = set()
-        for t in tables:
-            fresh.update(np.frombuffer(frontier.translate(t), key).tolist())
-        fresh -= seen
-        if len(seen) + len(fresh) > cap:
-            raise ClosureBudgetError(f"closure exceeds the cap of {cap} elements")
-        seen |= fresh
-        frontier = b"".join(fresh)
-    else:
-        seen.remove(ident)
-        rest = np.sort(np.frombuffer(b"".join(seen), key))
-    rows = np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n)
-    return TransMonoid(n, rows, gens)
-
-
-def _dense_closure(seen: set, frontier: bytes, tables: list, n: int, cap: int) -> np.ndarray:
-    # closure's search from the given frontier on, with a bool map over the
-    # n^n codes in place of the set of the rows seen so far.  Returns the
-    # sorted codes of all the elements.
-    known = np.zeros(n**n, bool)
-    found = [_codes(_unpack(b"".join(seen), n))]
-    known[found[0]] = True
-    size = len(seen)
-    while frontier:
-        codes = _codes(_unpack(b"".join(frontier.translate(t) for t in tables), n))
-        fresh = np.sort(codes[~known[codes]])
-        first = np.ones(len(fresh), bool)
-        first[1:] = fresh[1:] != fresh[:-1]
-        fresh = fresh[first]
+        products = b"".join(frontier.translate(t) for t in tables)
+        if known is None and _dense_pays(n, len(products) // n, 1):
+            known = np.zeros(n**n, bool)
+            known[_codes(_unpack(b"".join(seen), n))] = True
+        if known is None:
+            fresh = set(np.frombuffer(products, key).tolist())
+            fresh -= seen
+            seen |= fresh
+            frontier = b"".join(fresh)
+        else:
+            codes = _codes(_unpack(products, n))
+            fresh = np.sort(codes[~known[codes]])  # np.unique is far slower
+            first = np.ones(len(fresh), bool)
+            first[1:] = fresh[1:] != fresh[:-1]
+            fresh = fresh[first]
+            known[fresh] = True
+            frontier = _decode(fresh, n).tobytes()
         size += len(fresh)
         if size > cap:
             raise ClosureBudgetError(f"closure exceeds the cap of {cap} elements")
-        known[fresh] = True
-        found.append(fresh)
-        frontier = _decode(fresh, n).tobytes()
-    return np.sort(np.concatenate(found))
+    if known is None:
+        seen.remove(ident)
+        rest = np.sort(np.frombuffer(b"".join(seen), key))
+    else:
+        known[_codes(_unpack(ident, n))] = False
+        rest = _decode(np.flatnonzero(known), n)
+    rows = np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n)
+    return TransMonoid(n, rows, gens)
 
 
 def _unpack(packed: bytes, n: int) -> np.ndarray:
@@ -263,9 +255,10 @@ def _codes(rows: np.ndarray) -> np.ndarray:
 
 
 def _decode(codes: np.ndarray, n: int) -> np.ndarray:
-    # The (len(codes), n) uint8 rows of the base-n codes.
+    # The (len(codes), n) uint8 rows of the base-n codes, worked in int32,
+    # where division is faster than in np.flatnonzero's int64.
     rows = np.empty((len(codes), n), np.uint8)
-    rest = codes.copy()
+    rest = codes.astype(np.int32)
     for i in range(n - 1, -1, -1):
         rows[:, i] = rest % n
         rest //= n

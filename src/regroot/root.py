@@ -9,11 +9,12 @@ maps, i.e. the transformation monoid, are ever materialized.
 The construction works on the monoid's packed image rows (see `monoid`):
 a letter acting as g moves element f to f * g, so its transition row is
 the monoid's right translation by g, the row of the right Cayley graph
-for g.  That is one gather of the products' base-n codes through the
-monoid's dense code-to-number map for large monoids of degree at most 8,
-and one binary search of the product keys among the sorted element keys
-otherwise.  The finals come from iterating q -> f(q) degree-many times
-over all rows at once.
+for g.  That is one lookup of all the products f * g at once, in
+TransMonoid._numbers, which gives 0 for a product that is no element: a
+gather of their base-n codes through the dense code-to-number map for
+large monoids of degree at most 8, else a binary search of their keys
+among the sorted element keys.  The finals come from iterating
+q -> f(q) degree-many times over all rows at once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class RootAutomaton:
 
     dfa: Dfa
     monoid: TransMonoid
-    origin: Dfa
 
     def element_of(self, state: int) -> Transformation:
         """The transformation behind a state of the underlying Dfa."""
@@ -83,7 +83,7 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
     delta = [m.right_translation(g).tolist() for g in d.delta]
     finals = np.flatnonzero(_accepting_rows(m.rows, d.start, d.finals)) + 1
     dfa = Dfa(len(m), d.alphabet, delta, 1, finals.tolist())
-    return RootAutomaton(dfa=dfa, monoid=m, origin=d)
+    return RootAutomaton(dfa=dfa, monoid=m)
 
 
 def _accepting_rows(rows: np.ndarray, q0: int, finals) -> np.ndarray:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +65,28 @@ class TestStirling:
             stirling2(STIRLING_MAX_N + 1, 3)
         assert len(counting._stirling_rows) == rows
         assert stirling2(STIRLING_MAX_N + 1, STIRLING_MAX_N + 2) == 0
+
+    def test_rows_asked_in_any_order_match_the_explicit_sum(self, monkeypatch):
+        # Each new row starts from the nearest kept row below it.
+        monkeypatch.setattr(counting, "_stirling_rows", {0: [1]})
+        for n in (40, 20, 50, 21, 1):
+            k = min(n, 7)
+            explicit = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+            assert stirling2(n, k) == explicit // math.factorial(k)
+        assert sorted(counting._stirling_rows) == [0, 1, 20, 21, 40, 50]
+
+    def test_a_cold_row_holds_only_the_previous_row(self):
+        # In a fresh interpreter, so that no row is kept yet.  The whole
+        # triangle up to row 600 peaks at about 40 MiB traced.
+        code = (
+            "import tracemalloc; from regroot import stirling2; tracemalloc.start(); "
+            "stirling2(600, 200); print(tracemalloc.get_traced_memory()[1])"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(counting.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(out.stdout) < 5 * 2**20
 
     def test_big_row_is_exact(self):
         # row sums are Bell numbers; B(25) is known exactly

@@ -77,7 +77,6 @@ class TestRootAutomaton:
         assert ra.dfa.n == 1857
         assert ra.dfa.start == 1
         assert ra.element_of(1) == identity(5)
-        assert ra.origin is example_dfa
 
     @pytest.mark.parametrize("state", [0, 1858])
     def test_element_of_refuses_states_out_of_range(self, example_dfa, state):

@@ -12,6 +12,8 @@ over the base-n codes, and the rest on keys.  The cases below name the
 path they take, on each side of that crossover.
 """
 
+import itertools
+import random
 from collections import deque
 from dataclasses import replace
 
@@ -171,15 +173,18 @@ def test_finals_against_the_power_oracle(d):
 
 @pytest.fixture
 def dense_closures(monkeypatch):
-    # The degree of each closure that runs its wide levels on the dense map.
+    # The degree of each closure that runs its wide levels on the dense map:
+    # closure asks _dense_pays about one byte per code until it says yes.
     calls = []
-    real = monoid._dense_closure
+    real = monoid._dense_pays
 
-    def spy(seen, frontier, tables, n, cap):
-        calls.append(n)
-        return real(seen, frontier, tables, n, cap)
+    def spy(n, products, code_bytes):
+        pays = real(n, products, code_bytes)
+        if pays and code_bytes == 1:
+            calls.append(n)
+        return pays
 
-    monkeypatch.setattr(monoid, "_dense_closure", spy)
+    monkeypatch.setattr(monoid, "_dense_pays", spy)
     return calls
 
 
@@ -237,6 +242,24 @@ def test_cap_on_the_dense_path(dense_closures):
     with pytest.raises(ClosureBudgetError, match="cap of 3124 elements"):
         closure(gens, max_elements=3124)
     assert dense_closures == [5, 5]
+
+
+def test_closure_wide_from_its_first_level(dense_closures, monkeypatch):
+    # 514 distinct generators of degree 5 make level 0 wider than
+    # 512 + 5^5 // 2048 products, so the map starts from the identity alone.
+    # Maps of rank at most 3 close to a proper submonoid of T_5.
+    maps = [f for f in itertools.product(range(1, 6), repeat=5) if len(set(f)) <= 3]
+    gens = random.Random(5).sample(maps, 514)
+    assert len(gens) > monoid._DENSE_WIDTH + 5**5 // monoid._DENSE_SPREAD
+    m = closure(gens)
+    assert dense_closures == [5]
+    with pytest.raises(ClosureBudgetError, match=f"cap of {len(m) - 1} elements"):
+        closure(gens, max_elements=len(m) - 1)
+    assert closure(gens, max_elements=len(m)).rows.tobytes() == m.rows.tobytes()
+    assert dense_closures == [5, 5, 5]
+    monkeypatch.setattr(monoid, "_DENSE_BYTES", 0)
+    assert closure(gens).rows.tobytes() == m.rows.tobytes()
+    assert dense_closures == [5, 5, 5]
 
 
 def test_dense_translation_of_a_monoid_missing_a_product():
