@@ -66,38 +66,21 @@ def cmd_ukl(args) -> int:
                 raise ValueError(f"-n takes no {flag}")
         k, l = best_coprime_pair(args.n)
         formula = ukl_size_formula(k, l)
-        payload = {
-            "n": args.n,
-            "k": k,
-            "l": l,
-            "formula": formula,
-            "predicted_root_states": formula - binomial(args.n, 2),
-        }
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print(f"best k={k} l={l}")
-            print(f"formula={formula}")
-            print(f"predicted_root_states={payload['predicted_root_states']}")
-        return 0
-    if args.k is None or args.l is None:
-        raise ValueError("pass either -n, or both -k and -l")
-    formula = ukl_size_formula(args.k, args.l)
-    payload: dict = {"k": args.k, "l": args.l, "formula": formula}
-    code = 0
-    if args.enumerate:
-        size = len(closure(ukl_generators(args.k, args.l)))
-        payload["closure"] = size
-        payload["agree"] = size == formula
-        code = 0 if size == formula else 1
-    if args.json:
-        print(json.dumps(payload))
+        states = formula - binomial(args.n, 2)
+        payload = {"n": args.n, "k": k, "l": l, "formula": formula, "predicted_root_states": states}
+        lines = [f"best k={k} l={l}", f"formula={formula}", f"predicted_root_states={states}"]
     else:
-        print(f"formula={formula}")
+        if args.k is None or args.l is None:
+            raise ValueError("pass either -n, or both -k and -l")
+        formula = ukl_size_formula(args.k, args.l)
+        payload = {"k": args.k, "l": args.l, "formula": formula}
+        lines = [f"formula={formula}"]
         if args.enumerate:
-            print(f"closure={payload['closure']}")
-            print("AGREE" if payload["agree"] else "DISAGREE")
-    return code
+            size = len(closure(ukl_generators(args.k, args.l)))
+            payload.update(closure=size, agree=size == formula)
+            lines += [f"closure={size}", "AGREE" if size == formula else "DISAGREE"]
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 0 if payload.get("agree", True) else 1
 
 
 def cmd_stirling(args) -> int:

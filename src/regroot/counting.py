@@ -129,15 +129,7 @@ def best_coprime_pair(n: int) -> tuple[int, int]:
     n = _as_int(n, "n")
     if n < 5:
         raise ValueError(f"no valid split below n = 5, got {n!r}")
-    best: tuple[int, int] | None = None
-    best_size = -1
-    for k in range(2, n - 2):
-        l = n - k
-        if l < 3 or math.gcd(k, l) != 1:
-            continue
-        size = _ukl_size_raw(k, l)
-        if size > best_size:
-            best, best_size = (k, l), size
-    if best is None:
+    splits = [(k, n - k) for k in range(2, n - 2) if math.gcd(k, n - k) == 1]
+    if not splits:
         raise ValueError(f"no coprime split with k >= 2, l >= 3 for n = {n}")
-    return best
+    return max(splits, key=lambda kl: _ukl_size_raw(*kl))

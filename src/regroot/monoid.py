@@ -44,7 +44,7 @@ import numpy as np
 
 from .counting import _check_kl
 from .dfa import Dfa
-from .transform import Transformation, _as_int, _as_points, _make, cycle_pair, identity
+from .transform import Transformation, _as_int, _as_points, cycle_pair, identity
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 LARGEST2_MAX_N = 4
@@ -76,9 +76,8 @@ class TransMonoid:
     the read-only (len, degree) uint8 array of their image rows.
     """
 
-    def __init__(self, degree: int, rows: np.ndarray, generators):
+    def __init__(self, degree: int, rows: np.ndarray):
         self.degree = degree
-        self.generators = tuple(generators)
         rows.flags.writeable = False
         self.rows = rows
         self._keys = rows.view(f"S{degree}").ravel()
@@ -102,7 +101,7 @@ class TransMonoid:
         i = _as_int(i, "element number")
         if not 0 <= i < len(self.rows):
             raise ValueError(f"element number {i} out of range 0..{len(self.rows) - 1}")
-        return _make(self.rows[i].tolist())
+        return Transformation(self.rows[i].tolist())
 
     def index_of(self, f) -> int:
         i = self._lookup(f) - 1
@@ -157,10 +156,6 @@ class TransMonoid:
         ordered = np.sort(self.rows, axis=1)
         ranks = 1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)
         return {r: c for r, c in enumerate(np.bincount(ranks).tolist()) if c}
-
-    def __repr__(self) -> str:
-        gens = ", ".join(g.one_row() for g in self.generators)
-        return f"TransMonoid(degree={self.degree}, size={len(self)}, generators=[{gens}])"
 
 
 def _table(g: Transformation) -> bytes:
@@ -235,7 +230,7 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
         known[_codes(_unpack(ident, n))] = False
         rest = _decode(np.flatnonzero(known), n)
     rows = np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n)
-    return TransMonoid(n, rows, gens)
+    return TransMonoid(n, rows)
 
 
 def _unpack(packed: bytes, n: int) -> np.ndarray:
@@ -284,9 +279,9 @@ def tn_generators(n: int) -> list[Transformation]:
         return [identity(1)]
     if n == 2:
         return [Transformation((2, 1)), Transformation((1, 1))]
-    swap = _make([2, 1] + list(range(3, n + 1)))
-    cyc = _make(list(range(2, n + 1)) + [1])
-    collapse = _make(list(range(1, n)) + [1])
+    swap = Transformation([2, 1] + list(range(3, n + 1)))
+    cyc = Transformation(list(range(2, n + 1)) + [1])
+    collapse = Transformation(list(range(1, n)) + [1])
     return [swap, cyc, collapse]
 
 
@@ -296,10 +291,10 @@ def _pi2(k: int, l: int) -> tuple[int, ...]:
     # the k-cycle (1 2 ... k) generates the whole symmetric group there.
     n = k + l
     m = n - 1
-    pi1 = _make([(i + 1) % k + 1 for i in range(k)] + list(range(k + 1, m + 1)))
+    pi1 = Transformation([(i + 1) % k + 1 for i in range(k)] + list(range(k + 1, m + 1)))
     full = math.factorial(m)
     for cand in itertools.permutations(range(1, m + 1)):
-        if len(closure([pi1, _make(cand)], max_elements=full + 1)) == full:
+        if len(closure([pi1, Transformation(cand)], max_elements=full + 1)) == full:
             return cand
     raise AssertionError(f"no second generator found for ({k}, {l})")
 
@@ -314,7 +309,7 @@ def ukl_generators(k: int, l: int) -> tuple[Transformation, Transformation]:
     k, l = _check_kl(k, l)
     alpha = cycle_pair(k, l)
     pi2 = _pi2(k, l)
-    beta = _make(list(pi2) + [pi2[0]])
+    beta = Transformation(list(pi2) + [pi2[0]])
     return alpha, beta
 
 
@@ -396,7 +391,7 @@ def largest_two_generated(n: int) -> tuple[int, tuple[Transformation, Transforma
     rows = _decode(np.arange(n**n, dtype=np.int32), n)
     perms = [np.array((0,) + p, np.uint8) for p in itertools.permutations(range(1, n + 1))]
     smallest = np.min([_codes(p[rows[:, np.argsort(p[1:])]]) for p in perms], axis=0)
-    maps = [_make(row) for row in rows.tolist()]
+    maps = [Transformation(row) for row in rows.tolist()]
     firsts = [maps[r] for r in np.unique(smallest).tolist()]
     pair = max(itertools.product(firsts, maps), key=lambda fg: len(closure(fg)))
     return len(closure(pair)), pair

@@ -6,15 +6,12 @@ the word induces, and a map is accepting when some positive iterate of it
 takes the original start state into the original finals.  Only reachable
 maps, i.e. the transformation monoid, are ever materialized.
 
-The construction works on the monoid's packed image rows (see `monoid`):
-a letter acting as g moves element f to f * g, so its transition row is
-the monoid's right translation by g, the row of the right Cayley graph
-for g.  That is one lookup of all the products f * g at once, in
-TransMonoid._numbers, which gives 0 for a product that is no element: a
-gather of their base-n codes through the dense code-to-number map for
-large monoids of degree at most 8, else a binary search of their keys
-among the sorted element keys.  The finals come from iterating
-q -> f(q) degree-many times over all rows at once.
+The construction works on the monoid's packed image rows: a letter
+acting as g moves element f to f * g, so its transition row is
+TransMonoid.right_translation(g), the row of the right Cayley graph for
+g; `monoid` describes how that finds the numbers of the products.  The
+finals come from iterating q -> f(q) degree-many times over all rows at
+once.
 """
 
 from __future__ import annotations

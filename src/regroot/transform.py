@@ -77,7 +77,7 @@ class Transformation(tuple):
             raise ValueError(
                 f"degree mismatch: {len(self)} vs {len(other)}"
             )
-        return _make(other[x - 1] for x in self)
+        return Transformation(other[x - 1] for x in self)
 
     def __pow__(self, m: int) -> "Transformation":
         """m-fold composition with itself; the 0th power is the identity."""
@@ -113,7 +113,7 @@ class Transformation(tuple):
         if len(img) != 2:
             raise ValueError(f"complement needs rank 2, got rank {len(img)}")
         i, j = sorted(img)
-        return _make(j if v == i else i for v in self)
+        return Transformation(j if v == i else i for v in self)
 
     def one_row(self) -> str:
         """One-row rendering, e.g. '[2 1 4 5 3]'."""
@@ -123,18 +123,13 @@ class Transformation(tuple):
         return f"Transformation({list(self)!r})"
 
 
-def _make(values) -> Transformation:
-    # Internal constructor skipping validation; callers guarantee validity.
-    return tuple.__new__(Transformation, tuple(values))
-
-
 def identity(n: int) -> Transformation:
     n = _as_int(n, "degree")
     if n < 1:
         raise ValueError(f"invalid degree {n!r}: need a positive integer")
-    if n > MAX_DEGREE:
+    if n > MAX_DEGREE:  # before a huge n builds a row for Transformation to refuse
         raise ValueError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-    return _make(range(1, n + 1))
+    return Transformation(range(1, n + 1))
 
 
 def cycle_pair(k: int, l: int) -> Transformation:
@@ -143,11 +138,11 @@ def cycle_pair(k: int, l: int) -> Transformation:
     if k < 1 or l < 1:
         raise ValueError("cycle lengths must be positive integers")
     n = k + l
-    if n > MAX_DEGREE:
+    if n > MAX_DEGREE:  # before a huge n builds a row for Transformation to refuse
         raise ValueError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
     row = [0] * n
     for i in range(k):
         row[i] = (i + 1) % k + 1
     for i in range(l):
         row[k + i] = k + (i + 1) % l + 1
-    return _make(row)
+    return Transformation(row)

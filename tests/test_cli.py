@@ -179,6 +179,17 @@ class TestUkl:
         assert main(["ukl", "-k", "2"]) == 2
         assert main(["ukl", "-n", "7", "-k", "2", "-l", "5"]) == 2
 
+    def test_enumeration_that_disagrees_fails(self, monkeypatch, capsys):
+        # The closure of the double cycle alone: its 6 powers, not |U_{2,3}|.
+        full = cli.closure
+        monkeypatch.setattr(cli, "closure", lambda gens: full(gens[:1]))
+        assert main(["ukl", "-k", "2", "-l", "3", "--enumerate"]) == 1
+        assert capsys.readouterr().out == "formula=1857\nclosure=6\nDISAGREE\n"
+        assert main(["ukl", "-k", "2", "-l", "3", "--enumerate", "--json"]) == 1
+        assert capsys.readouterr().out == (
+            '{"k": 2, "l": 3, "formula": 1857, "closure": 6, "agree": false}\n'
+        )
+
 
 class TestScalars:
     def test_stirling(self, capsys):

@@ -115,6 +115,18 @@ class TestClosure:
         with pytest.raises(ValueError):
             m.index_of(Transformation([2, 1]))
 
+    def test_element_is_the_transformation_of_its_row(self):
+        m = closure(ukl_generators(2, 3))
+        for i in (0, 1, len(m) // 2, len(m) - 1):
+            f = m.element(i)
+            assert type(f) is Transformation
+            assert f == tuple(m.rows[i].tolist())
+
+    def test_right_translation_refuses_another_degree(self):
+        m = closure(tn_generators(3))
+        with pytest.raises(ValueError, match="degree mismatch: 4 vs 3"):
+            m.right_translation(identity(4))
+
     @pytest.mark.parametrize("row", [(1, 2, 3, 1), (1, 2), (1, 2, 0), (0, 1, 2), (1, 2, 300)])
     def test_rows_of_other_shapes_are_not_members(self, row):
         m = closure(tn_generators(3))
@@ -160,6 +172,10 @@ class TestTnGenerators:
         swap, cyc, collapse = tn_generators(5)
         assert swap.rank() == 5 and cyc.rank() == 5
         assert collapse.rank() == 4
+
+    def test_degree_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="invalid degree 0"):
+            tn_generators(0)
 
 
 class TestUklGenerators:
@@ -301,6 +317,10 @@ class TestLargestTwoGenerated:
         with pytest.raises(ValueError, match="budget"):
             largest_two_generated(5)
 
+    def test_degree_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="invalid degree 0"):
+            largest_two_generated(0)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_brute_force_over_ordered_pairs(self, n):
         maps = all_maps(n)
@@ -328,6 +348,11 @@ class TestDfaBasedOn:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             dfa_based_on([identity(2), identity(3)])
+
+    def test_more_maps_than_default_letters(self):
+        assert dfa_based_on([identity(2)] * 26).alphabet[-1] == "z"
+        with pytest.raises(ValueError, match="too many generators"):
+            dfa_based_on([identity(2)] * 27)
 
     def test_monoid_of_based_dfa_is_the_closure(self):
         gens = tn_generators(3)

@@ -43,6 +43,13 @@ def test_validation_rejects_out_of_range_entries():
         Transformation([])
 
 
+def test_degree_above_the_maximum_is_refused():
+    with pytest.raises(ValueError, match="degree 256 exceeds the supported maximum 255"):
+        Transformation(range(1, 257))
+    with pytest.raises(ValueError, match="degree 300 exceeds the supported maximum 255"):
+        cycle_pair(200, 100)
+
+
 def test_bool_images_are_rejected():
     with pytest.raises(ValueError, match="image value True is not an integer"):
         Transformation((True, True))
@@ -73,6 +80,11 @@ def test_compose_identity_is_neutral():
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         ALPHA * identity(4)
+
+
+def test_compose_with_a_plain_tuple_is_a_type_error():
+    with pytest.raises(TypeError):
+        Transformation((2, 1)) * (1, 2)
 
 
 @given(same_degree_triples())

@@ -4,6 +4,7 @@ import pytest
 
 from regroot import (
     Case,
+    Transformation,
     VerifyReport,
     suite_counting,
     suite_full_tn,
@@ -13,6 +14,8 @@ from regroot import (
     suite_start_final_variation,
     suite_unary,
 )
+from regroot import verify
+from regroot.dfa import chain_dfa
 from regroot.verify import SUITES
 
 
@@ -81,6 +84,13 @@ class TestMinDfa:
         assert case_by_name(r, "monoid-size-vs-formula").expected == "1857"
         assert case_by_name(r, "root-state-complexity").measured == "1847"
 
+    def test_a_wrong_complement_fails_pair_shape(self, monkeypatch):
+        monkeypatch.setattr(Transformation, "complement", lambda self: self)
+        r = suite_min_dfa(2, 3)
+        assert not r.passed
+        assert [c.name for c in r.cases if not c.passed] == ["pair-shape"]
+        assert case_by_name(r, "pair-shape").measured == "violation found"
+
 
 class TestFullTn:
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 24), (4, 250)])
@@ -127,6 +137,15 @@ class TestUnary:
     def test_budget(self):
         with pytest.raises(ValueError):
             suite_unary(15)
+
+    def test_a_wrong_unary_root_fails_every_random_case(self, monkeypatch):
+        # The empty language is the root of no sample with a final state.
+        monkeypatch.setattr(verify, "unary_root", lambda d: chain_dfa(0, 1, set(), d.alphabet))
+        r = suite_unary(4, seed=0, samples=20)
+        assert not r.passed
+        random_cases = [c for c in r.cases if c.name.startswith("random-n=")]
+        assert [c.name for c in random_cases] == ["random-n=02", "random-n=03", "random-n=04"]
+        assert not any(c.passed for c in random_cases)
 
 
 class TestCountingSuites:
