@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .counting import (
+    HK_MAX_N,
     _check_kl,
     best_coprime_pair,
     binomial,
@@ -122,7 +123,7 @@ _budget_min_dfa = partial(_check_pair, max_total=7)
 _budget_start_final = partial(_check_pair, max_total=5)
 _budget_unary = partial(_check_range, "unary suite", "max_n", lo=2, hi=14)
 _budget_gap = partial(_check_range, "gap suite", "max_n", lo=7, hi=100)
-_budget_lower_bound = partial(_check_range, "lower-bound suite", "max_n", lo=7, hi=30)
+_budget_lower_bound = partial(_check_range, "lower-bound suite", "max_n", lo=7, hi=HK_MAX_N)
 
 
 def suite_min_dfa(k: int, l: int) -> VerifyReport:

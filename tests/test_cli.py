@@ -20,6 +20,7 @@ from regroot import (
 )
 from regroot import cli
 from regroot.cli import main
+from regroot.counting import BEST_SPLIT_MAX_N
 
 from conftest import EXAMPLE_DFA_TEXT
 
@@ -162,6 +163,17 @@ class TestUkl:
 
     def test_non_coprime_rejected(self, capsys):
         assert main(["ukl", "-k", "2", "-l", "4"]) == 2
+
+    def test_best_split_at_the_bound_and_past_it(self, capsys):
+        assert main(["ukl", "-n", str(BEST_SPLIT_MAX_N)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "best k=99 l=101"
+        over = BEST_SPLIT_MAX_N + 1
+        assert main(["ukl", "-n", str(over)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: best_coprime_pair searches splits up to n = {BEST_SPLIT_MAX_N}, got n = {over}\n"
+        )
 
     @pytest.mark.parametrize("argv, flag", [
         (["--enumerate"], "--enumerate"),

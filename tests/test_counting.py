@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -18,7 +19,7 @@ from regroot import (
     ukl_size_formula,
 )
 from regroot import counting
-from regroot.counting import HK_MAX_N, STIRLING_MAX_N
+from regroot.counting import BEST_SPLIT_MAX_N, HK_MAX_N, STIRLING_MAX_N
 
 
 def partitions_into_blocks(items, k):
@@ -33,6 +34,24 @@ def partitions_into_blocks(items, k):
     for part in partitions_into_blocks(rest, k):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def ukl_size_by_terms(k, l):
+    """The closed form for |U_{k,l}| term by term, one stirling2 call per product."""
+    n = k + l
+    total = k * l
+    for i in range(1, n + 1):
+        outer = binomial(n, i) - binomial(k, i - l)
+        inner = stirling2(n, i) - sum(
+            stirling2(k, r) * stirling2(l, i - r) for r in range(1, i + 1)
+        )
+        total += outer * inner * math.factorial(i)
+    return total
+
+
+COPRIME_TO_40 = [
+    (k, l) for k, l in itertools.product(range(2, 41), repeat=2) if math.gcd(k, l) == 1
+]
 
 
 class TestStirling:
@@ -149,6 +168,35 @@ class TestUklSizeFormula:
                 assert ukl_size_formula(k, l) <= n**n
 
 
+class TestRowForm:
+    """The formula on whole Stirling rows against its term-by-term reference."""
+
+    def test_coprime_pairs_to_forty(self):
+        for k, l in COPRIME_TO_40:
+            assert ukl_size_formula(k, l) == ukl_size_by_terms(k, l), (k, l)
+
+    def test_pairs_that_are_not_coprime(self):
+        # ukl_gap reads the unchecked form at (2, n-2) and (n-2, 2).
+        for k, l in [(2, 6), (6, 2), (2, 2), (4, 6), (6, 9), (1, 1), (1, 5), (5, 1)]:
+            assert counting._ukl_size_raw(k, l) == ukl_size_by_terms(k, l), (k, l)
+
+    def test_gap_to_a_hundred(self):
+        for n in range(5, 101):
+            assert ukl_gap(n) == ukl_size_by_terms(2, n - 2) - ukl_size_by_terms(n - 2, 2), n
+
+    def test_table_to_forty_is_pinned(self):
+        table = "".join(f"{k} {l} {ukl_size_formula(k, l)}\n" for k, l in COPRIME_TO_40)
+        assert hashlib.sha256(table.encode()).hexdigest() == (
+            "718c0e9fb7edab42bae98b60c8b7967f6ea236b16b24986f1bcba264eaef17c9"
+        )
+
+    def test_a_pair_past_the_stirling_bound_builds_no_row(self):
+        rows = len(counting._stirling_rows)
+        with pytest.raises(ValueError, match=f"n = {STIRLING_MAX_N}"):
+            ukl_size_formula(1000, STIRLING_MAX_N - 999)
+        assert len(counting._stirling_rows) == rows
+
+
 class TestGap:
     def test_at_seven(self):
         assert ukl_gap(7) == 610871 - 392797 == 218074
@@ -224,3 +272,12 @@ class TestBestCoprimePair:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             best_coprime_pair(4)
+
+    def test_largest_n_is_searched_and_the_next_refused_before_any_row(self):
+        assert BEST_SPLIT_MAX_N >= HK_MAX_N
+        assert best_coprime_pair(BEST_SPLIT_MAX_N) == (99, 101)
+        rows = len(counting._stirling_rows)
+        over = BEST_SPLIT_MAX_N + 1
+        with pytest.raises(ValueError, match=f"up to n = {BEST_SPLIT_MAX_N}, got n = {over}"):
+            best_coprime_pair(over)
+        assert len(counting._stirling_rows) == rows

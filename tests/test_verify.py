@@ -166,7 +166,7 @@ class TestCountingSuites:
         with pytest.raises(ValueError):
             suite_gap(6)
         with pytest.raises(ValueError):
-            suite_lower_bound(31)
+            suite_lower_bound(144)
 
 
 def test_counting_suite_passes():
