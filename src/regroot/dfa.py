@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -72,14 +72,10 @@ class Dfa:
             raise ValueError(f"start state {self.start} out of range 1..{self.n}")
         object.__setattr__(self, "finals", frozenset(_as_points(self.finals, self.n, "state")))
 
-    @cached_property
-    def _letter_pos(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.alphabet)}
-
     def letter_index(self, a: str) -> int:
         try:
-            return self._letter_pos[a]
-        except KeyError:
+            return self.alphabet.index(a)
+        except ValueError:
             raise ValueError(f"unknown letter {a!r}") from None
 
     def letter_transformation(self, a: str) -> Transformation:
@@ -335,17 +331,22 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     return minimize(d1) == minimize(d2)
 
 
+def _unary_chain(d: Dfa, caller: str) -> tuple[list[int], int]:
+    # The reachable states of a one-letter DFA in path order, and the index
+    # j of the loop entry in that path (the tail length).  With one letter
+    # the reachable states are the path from the start, and the loop entry
+    # is the successor of its last state.  Each level holds one state, so
+    # the walk is one scalar run.
+    if len(d.alphabet) != 1:
+        raise ValueError(f"{caller} needs a one-letter alphabet")
+    (path,) = _reachable(d)
+    return path, path.index(d.delta[0][path[-1] - 1])
+
+
 def unary_structure(d: Dfa) -> tuple[int, int, int]:
     """(tail length, loop length, loop entry state) of a one-letter DFA."""
-    if len(d.alphabet) != 1:
-        raise ValueError("unary_structure needs a one-letter alphabet")
-    # With one letter the reachable states are the path from the start, and
-    # the loop entry is the successor of its last state.  Each level holds
-    # one state, so the walk is one scalar run.
-    (path,) = _reachable(d)
-    entry = d.delta[0][path[-1] - 1]
-    j = path.index(entry)
-    return j, len(path) - j, entry
+    path, j = _unary_chain(d, "unary_structure")
+    return j, len(path) - j, path[j]
 
 
 def chain_dfa(tail: int, loop: int, finals, alphabet: tuple[str, ...] = ("a",)) -> Dfa:

@@ -76,11 +76,11 @@ class TransMonoid:
     the read-only (len, degree) uint8 array of their image rows.
     """
 
-    def __init__(self, degree: int, rows: np.ndarray):
-        self.degree = degree
+    def __init__(self, rows: np.ndarray):
+        self.degree = rows.shape[1]
         rows.flags.writeable = False
         self.rows = rows
-        self._keys = rows.view(f"S{degree}").ravel()
+        self._keys = rows.view(f"S{self.degree}").ravel()
         self._number = None
 
     def __len__(self) -> int:
@@ -230,7 +230,7 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
         known[_codes(_unpack(ident, n))] = False
         rest = _decode(np.flatnonzero(known), n)
     rows = np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n)
-    return TransMonoid(n, rows)
+    return TransMonoid(rows)
 
 
 def _unpack(packed: bytes, n: int) -> np.ndarray:

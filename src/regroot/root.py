@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import Dfa, _reachable, accepts, chain_dfa, minimize
+from .dfa import Dfa, _unary_chain, accepts, chain_dfa, minimize
 from .monoid import DEFAULT_MAX_ELEMENTS, TransMonoid, transformation_monoid
 from .transform import Transformation, _as_int
 
@@ -112,46 +112,29 @@ def root_member_oracle(d: Dfa, w) -> bool:
     return any(accepts(d, w * m) for m in range(1, d.n + 1))
 
 
-def _divisors(t: int) -> list[int]:
-    return [s for s in range(1, t + 1) if t % s == 0]
-
-
 def unary_root(d: Dfa) -> Dfa:
-    """Root of a one-letter language, by marking divisor states final.
+    """Root of a one-letter language: a^s is in it iff s divides an accepted length.
 
     Keeps the reachable tail-and-loop chain of d (renumbered 1.. in path
-    order) and recomputes finals: a^s joins the root exactly when s >= 1
-    divides some accepted length t >= 1.  Tail-accepted lengths contribute
-    their divisors directly; a final loop state reached first at length b
-    (with loop length l) accepts the lengths b, b+l, b+2l, ..., and s
-    divides one of those iff gcd(l, s mod l) divides b.  The empty word
-    carries over as is, since only the empty word powers to it.
+    order, with tail length j and loop length l) and recomputes finals.
+    State 1 keeps the start's status, since only the empty word powers to
+    the empty word.  For s >= 1, state s + 1 is final iff a final tail
+    position lies among s, 2s, ... below j, or gcd(l, s) divides the
+    first-reach length b of a final loop state: that state accepts the
+    lengths b, b+l, b+2l, ..., and some multiple of s is one of them iff
+    gcd(l, s) divides b.
     """
-    if len(d.alphabet) != 1:
-        raise ValueError("unary_root needs a one-letter alphabet")
-    (chain,) = _reachable(d)
-    m = len(chain)
-    j = chain.index(d.delta[0][chain[-1] - 1])
-    l = m - j
-    final_idx = {i for i, q in enumerate(chain) if q in d.finals}
-
-    new_finals: set[int] = set()
-    if 0 in final_idx:
-        new_finals.add(1)
-    for t in final_idx:
-        if 1 <= t < j:
-            # s divides t < j, so a^s ends on the tail, at state s + 1.
-            new_finals.update(s + 1 for s in _divisors(t))
-    loop_offsets = [b for b in final_idx if b >= j]
-    if loop_offsets:
-        for pos in range(m):
-            if pos == 0 and j > 0:
-                continue  # the start of a nonempty tail is only reached by length 0
-            g = math.gcd(l, pos % l)
-            if any(b % g == 0 for b in loop_offsets):
-                new_finals.add(pos + 1)
-
-    return chain_dfa(j, l, new_finals, d.alphabet)
+    chain, j = _unary_chain(d, "unary_root")
+    l = len(chain) - j
+    final = bytes(q in d.finals for q in chain)
+    # gcd(l, s) divides b iff it divides gcd(l, b).
+    loop = {math.gcd(l, b) for b in range(j, len(chain)) if final[b]}
+    finals = {1} if final[0] else set()
+    for s in range(1, len(chain)):
+        g = math.gcd(l, s)
+        if 1 in final[s:j:s] or any(c % g == 0 for c in loop):
+            finals.add(s + 1)
+    return chain_dfa(j, l, finals, d.alphabet)
 
 
 def root_state_complexity(d: Dfa) -> int:

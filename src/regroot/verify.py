@@ -27,7 +27,7 @@ from .counting import (
     ukl_gap,
     ukl_size_formula,
 )
-from .dfa import Dfa, chain_dfa, equivalent, minimize, nerode_partition
+from .dfa import chain_dfa, equivalent, minimize, nerode_partition
 from .monoid import closure, dfa_based_on, tn_generators, ukl_generators
 from .root import root_automaton, unary_root
 from .transform import _as_int
@@ -210,11 +210,6 @@ def suite_start_final_variation(k: int, l: int) -> VerifyReport:
     return rec.report("start-final-variation", {"k": k, "l": l})
 
 
-def _single_word_dfa(n: int) -> Dfa:
-    # n states recognizing the single word a^(n-2): a chain into a dead loop.
-    return chain_dfa(n - 1, 1, {n - 1})
-
-
 def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> VerifyReport:
     """One-letter languages: tightness family plus randomized agreement.
 
@@ -226,7 +221,7 @@ def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> Verify
     max_n = _budget_unary(max_n)
     rec = _Recorder()
     for n in range(2, max_n + 1):
-        d = _single_word_dfa(n)
+        d = chain_dfa(n - 1, 1, {n - 1})  # a^(n-2), then a dead loop
         root = unary_root(d)
         sc = minimize(d).n
         root_sc = minimize(root).n

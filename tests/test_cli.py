@@ -20,7 +20,7 @@ from regroot import (
 )
 from regroot import cli
 from regroot.cli import main
-from regroot.counting import BEST_SPLIT_MAX_N
+from regroot.counting import BEST_SPLIT_MAX_N, UKL_MAX_N
 
 from conftest import EXAMPLE_DFA_TEXT
 
@@ -173,6 +173,18 @@ class TestUkl:
         assert captured.out == ""
         assert captured.err == (
             f"error: best_coprime_pair searches splits up to n = {BEST_SPLIT_MAX_N}, got n = {over}\n"
+        )
+
+    def test_formula_at_the_bound_and_past_it(self, capsys):
+        k, l = UKL_MAX_N // 2 - 1, UKL_MAX_N // 2 + 1
+        assert main(["ukl", "-k", str(k), "-l", str(l)]) == 0
+        assert capsys.readouterr().out == f"formula={ukl_size_formula(k, l)}\n"
+        over = UKL_MAX_N + 1
+        assert main(["ukl", "-k", str(over // 2), "-l", str(over - over // 2), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the size formula is evaluated up to n = k + l = {UKL_MAX_N}, got n = {over}\n"
         )
 
     @pytest.mark.parametrize("argv, flag", [

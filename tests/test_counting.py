@@ -19,7 +19,7 @@ from regroot import (
     ukl_size_formula,
 )
 from regroot import counting
-from regroot.counting import BEST_SPLIT_MAX_N, HK_MAX_N, STIRLING_MAX_N
+from regroot.counting import BEST_SPLIT_MAX_N, HK_MAX_N, STIRLING_MAX_N, UKL_MAX_N
 
 
 def partitions_into_blocks(items, k):
@@ -192,8 +192,30 @@ class TestRowForm:
 
     def test_a_pair_past_the_stirling_bound_builds_no_row(self):
         rows = len(counting._stirling_rows)
-        with pytest.raises(ValueError, match=f"n = {STIRLING_MAX_N}"):
+        with pytest.raises(ValueError, match=f"up to n = k \\+ l = {UKL_MAX_N}, got n = {STIRLING_MAX_N + 1}"):
             ukl_size_formula(1000, STIRLING_MAX_N - 999)
+        assert len(counting._stirling_rows) == rows
+
+
+class TestBudget:
+    """The formula is evaluated up to n = k + l = UKL_MAX_N and refused past it."""
+
+    def test_at_the_bound(self):
+        assert BEST_SPLIT_MAX_N <= UKL_MAX_N < STIRLING_MAX_N
+        n = UKL_MAX_N
+        size = ukl_size_formula(n // 2 - 1, n // 2 + 1)
+        assert binomial(n, 2) < size < n**n
+        assert ukl_gap(n) >= binomial(n, 2)
+
+    @pytest.mark.parametrize("f, args", [
+        (ukl_size_formula, (UKL_MAX_N // 2, UKL_MAX_N // 2 + 1)),
+        (ukl_gap, (UKL_MAX_N + 1,)),
+        (counting._ukl_size_raw, (UKL_MAX_N - 1, 2)),
+    ])
+    def test_one_past_the_bound_builds_no_row(self, f, args):
+        rows = len(counting._stirling_rows)
+        with pytest.raises(ValueError, match=f"up to n = k \\+ l = {UKL_MAX_N}, got n = {UKL_MAX_N + 1}$"):
+            f(*args)
         assert len(counting._stirling_rows) == rows
 
 

@@ -177,6 +177,38 @@ class TestUnaryRoot:
         with pytest.raises(ValueError):
             unary_root(example_dfa)
 
+    def test_every_chain_to_seven_states_against_the_oracle(self):
+        # Every tail length and final set of 1..7 states: 1,538 DFAs.
+        count = 0
+        for m in range(1, 8):
+            for tail in range(m):
+                for bits in range(2**m):
+                    d = chain_dfa(tail, m - tail, [q for q in range(1, m + 1) if bits >> (q - 1) & 1])
+                    r = unary_root(d)
+                    assert accepts(r, "") == accepts(d, ""), (tail, m, bits)
+                    for s in range(1, 2 * m + 1):
+                        assert accepts(r, "a" * s) == root_member_oracle(d, "a" * s), (tail, m, bits, s)
+                    count += 1
+        assert count == 1538
+
+    @pytest.mark.parametrize("finals", [range(1, 254, 2), [251], [250], []])
+    def test_a_long_tail_against_the_generic_construction(self, finals):
+        # 253 states, within the degree cap of 255 that the generic
+        # construction works under: every other state, the loop entry alone,
+        # the last tail state alone (the divisors of 249) and none.
+        d = chain_dfa(250, 3, finals)
+        assert equivalent(unary_root(d), root_automaton(d).dfa)
+
+    def test_a_tail_of_three_thousand_states(self):
+        # Every other state final accepts every even length: each a^s has a
+        # power in L, and so does the empty word.
+        every_other = chain_dfa(3000, 2, range(1, 3003, 2))
+        assert equivalent(unary_root(every_other), chain_dfa(0, 1, {1}))
+        # No final tail state: L holds the lengths 3001 + 3i, so a^s is in
+        # the root iff 3 does not divide s.
+        no_tail = chain_dfa(3000, 3, {3002})
+        assert equivalent(unary_root(no_tail), chain_dfa(1, 3, {2, 3}))
+
     def test_agrees_with_generic_construction(self):
         rng = random.Random(7)
         for _ in range(150):
