@@ -180,7 +180,12 @@ def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
 
     A list holds each run of levels read one state at a time, and an
     array each level found by a pass over delta = np.array(d.delta),
-    which is built here if a level needs it and it is not given.
+    which is built here if a level needs it and it is not given.  A pass
+    gathers the level's successors, parent-major and letter-minor, drops
+    the states already seen, and keeps each other state at its first
+    occurrence.  _first_index finds those by one np.sort of each state
+    packed with its position (see _KEY_LIMIT), below (n + 1) << bits;
+    the first positions, sorted, give the next level.
     """
     rows = d.delta
     wide = _PASS_READS // len(rows)
@@ -209,8 +214,7 @@ def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
         while True:
             met = delta[:, level - 1].T.ravel()  # parent-major, letter-minor
             met = met[~mask[met]]
-            _, first = np.unique(met, return_index=True)
-            level = met[np.sort(first)]
+            level = met[np.sort(_first_index(met, d.n + 1))]
             mask[level] = True
             if len(level) <= wide:
                 break
@@ -219,20 +223,47 @@ def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
     return pieces
 
 
-# Keys are int64; a key that would pass this is first replaced by its rank.
-_KEY_LIMIT = 2**63 - 1
+# Keys are int64 and stay below this.  A sort of n keys below a bound b
+# packs each with its position, key << bits | position where bits =
+# n.bit_length(), if b << bits does not pass this either, and is a stable
+# argsort if it does.  The choice is made from the bound, never from the
+# largest key seen.
+_KEY_LIMIT = 2**63
 
 
-def _dense_rank(key: np.ndarray) -> np.ndarray:
+def _sorted_runs(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    # The positions of key, where 0 <= key < bound, in stable sorted order,
+    # and a mask of the places in that order where a new key starts.
+    bits = key.size.bit_length()
+    if bound <= _KEY_LIMIT >> bits:
+        ranked = key << bits
+        ranked |= np.arange(key.size)
+        ranked.sort()
+        order = ranked & ((1 << bits) - 1)
+        ranked >>= bits
+    else:
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+    starts = np.empty(key.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    return order, starts
+
+
+def _first_index(key: np.ndarray, bound: int) -> np.ndarray:
+    # np.unique(key, return_index=True)[1]: the first position of each
+    # distinct key, in key order.
+    order, starts = _sorted_runs(key, bound)
+    return order[starts]
+
+
+def _dense_rank(key: np.ndarray, bound: int) -> np.ndarray:
     # np.unique(key, return_inverse=True)[1], without the fixed cost of
     # np.unique, which dominates on the tiny arrays of small DFAs.
-    order = np.argsort(key)
-    step = np.empty(key.size, dtype=np.int64)
-    step[0] = 0
-    ranked = key[order]
-    np.not_equal(ranked[1:], ranked[:-1], out=step[1:])
-    rank = np.empty_like(step)
-    rank[order] = np.cumsum(step)
+    order, starts = _sorted_runs(key, bound)
+    starts[:1] = False  # the first run is rank 0
+    rank = np.empty(key.size, dtype=np.int64)
+    rank[order] = starts.cumsum()
     return rank
 
 
@@ -255,16 +286,22 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
 
     Refinement.  Moore rounds on 1-D keys: each letter in turn folds the
     successor's class into the key, key * ncls + cls[succ[j]], which is
-    injective because cls < ncls.  The key is replaced by its rank before
-    a fold that could pass the int64 range, and after the last letter.
-    A state's new class depends only on its old class and its
-    successors' classes, so a class of one state never splits again, and
-    each round keys only the states of the other classes.  Folding starts
-    from the old class, so the pieces of one class have consecutive
-    ranks.  The first piece keeps the class's id and the others take
-    fresh ids from ncls up: the ids stay compact, and those of the
-    states not keyed stay valid.  A round that splits no class ends the
-    refinement.  Last, the classes are renumbered by their representatives.
+    injective because cls < ncls.  A round tracks a bound on its keys,
+    and ranks them after the last letter and before a fold that would
+    take the bound past top.  A rank packs each key with its position
+    (see _KEY_LIMIT), so top is the largest bound that packs,
+    _KEY_LIMIT >> live.size.bit_length().  A fold thus stays below top
+    or below live.size * ncls, and a rank whose bound does not pack is
+    a stable argsort.  A state's new class depends only on its old class
+    and its successors' classes, so a class of one state never splits
+    again, and each round keys only the states of the other classes.
+    Folding starts from the old class, so the pieces of one class have
+    consecutive ranks.  The first piece keeps the class's id and the
+    others take fresh ids from ncls up: the ids stay compact, and those
+    of the states not keyed stay valid.  A round that splits no class
+    ends the refinement.  Last, reps are the sorted first positions of
+    the ids in cls, and a scatter of 0..ncls-1 to cls[reps] renumbers
+    the classes in that order.
     """
     delta = np.array(d.delta, dtype=np.int64)
     states = np.concatenate(_reachable(d, delta))
@@ -278,12 +315,13 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     ncls = int(cls.max()) + 1
     live = np.flatnonzero(np.bincount(cls)[cls] > 1)
     while live.size:
+        top = _KEY_LIMIT >> live.size.bit_length()
         key, bound = cls[live], ncls
         for s in succ[:, live]:
-            if bound > _KEY_LIMIT // ncls:
-                key, bound = _dense_rank(key), live.size
+            if bound > top // ncls:
+                key, bound = _dense_rank(key, bound), live.size
             key, bound = key * ncls + cls[s], bound * ncls
-        key = _dense_rank(key)
+        key = _dense_rank(key, bound)
         piece_cls = np.empty(int(key.max()) + 1, dtype=np.int64)
         piece_cls[key] = cls[live]
         fresh = np.flatnonzero(piece_cls[1:] == piece_cls[:-1]) + 1
@@ -293,10 +331,10 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
         ncls += fresh.size
         cls[live] = piece_cls[key]
         live = live[np.bincount(key)[key] > 1]
-    _, reps = np.unique(cls, return_index=True)
-    reps.sort()
-    # cls[reps] lists the refinement's ids in the new order; argsort inverts it.
-    return states, succ, fin, np.argsort(cls[reps])[cls], reps
+    reps = np.sort(_first_index(cls, ncls))
+    number = np.empty(ncls, dtype=np.int64)
+    number[cls[reps]] = np.arange(ncls)
+    return states, succ, fin, number[cls], reps
 
 
 def minimize(d: Dfa) -> Dfa:

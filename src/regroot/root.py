@@ -85,21 +85,18 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
 
 def _accepting_rows(rows: np.ndarray, q0: int, finals) -> np.ndarray:
     # accepting_transformation(f, q0, finals) for every image row f of
-    # rows at once.  A point x of row i sits at flat position p = i*n + x-1;
-    # step[p] is the flat position of f(x) in the same row and final[p]
-    # tells whether f(x) is final, so p walks the trajectory of q0 under
-    # every f in step.
+    # rows at once.  q[i] walks the trajectory of q0 under row i: f(x) of
+    # row i sits at flat position base[i] + x, with base[i] = i*n - 1.
     m, n = rows.shape
     is_final = np.zeros(n + 1, dtype=bool)
     is_final[list(finals)] = True
-    row_start = np.arange(-1, m * n - 1, n)
-    step = (rows + row_start[:, None]).ravel()
-    final = is_final[rows].ravel()
-    p = row_start + q0
-    hit = final[p]
+    flat = rows.ravel()
+    base = np.arange(-1, m * n - 1, n)
+    q = flat[base + q0]
+    hit = is_final[q]
     for _ in range(n - 1):
-        p = step[p]
-        hit |= final[p]
+        q = flat[base + q]
+        hit |= is_final[q]
     return hit
 
 

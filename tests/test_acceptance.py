@@ -16,7 +16,9 @@ when the program matches that record.
 """
 
 import random
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 
 from regroot import (
@@ -48,8 +50,15 @@ def cases(report):
 
 
 @pytest.fixture(scope="module")
-def u34():
-    return cases(suite_min_dfa(3, 4))
+def u34_run():
+    # The U_{3,4} report, and whether any sort took the argsort fallback.
+    with patch.object(np, "argsort", wraps=np.argsort) as spy:
+        return cases(suite_min_dfa(3, 4)), spy.called
+
+
+@pytest.fixture(scope="module")
+def u34(u34_run):
+    return u34_run[0]
 
 
 def test_full_tn_tightness():
@@ -99,6 +108,11 @@ def test_equivalence_class_structure_2_3():
 def test_equivalence_class_structure_3_4(u34):
     ok, details = _equivalence_structure_ok(u34, "21", "607264")
     assert report("3b equivalence classes (3,4)", ok, details)
+
+
+def test_u34_minimization_packs_every_sort(u34_run):
+    # At U_{3,4} every key bound packs, so no sort falls back to argsort.
+    assert not u34_run[1]
 
 
 def test_gap_lemma():

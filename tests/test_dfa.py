@@ -3,7 +3,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regroot import (
@@ -23,7 +23,7 @@ from regroot import (
     unary_structure,
     word_transformation,
 )
-from regroot.dfa import _PASS_READS, _reachable
+from regroot.dfa import _KEY_LIMIT, _PASS_READS, _dense_rank, _first_index, _reachable
 
 from conftest import EXAMPLE_DFA_TEXT, counter_dfa, random_dfa, small_dfas
 
@@ -301,6 +301,42 @@ class TestReachLevels:
         order, pieces = walk(d)
         assert order == bfs_order(d)
         assert len(pieces) == 1
+
+
+@st.composite
+def bounded_keys(draw):
+    # int64 keys below a bound: a few values, many repeats, or keys just
+    # under the largest bound that packs at this size, or one past it.
+    size = draw(st.integers(0, 40))
+    packs = _KEY_LIMIT >> size.bit_length()
+    bound = draw(st.sampled_from([1, 3, size + 1, packs, packs + 1, _KEY_LIMIT]))
+    low = draw(st.sampled_from([0, max(bound - 4, 0)]))
+    keys = draw(st.lists(st.integers(low, bound - 1), min_size=size, max_size=size))
+    return np.array(keys, dtype=np.int64), bound
+
+
+# The largest bound under which five keys pack, and five keys just under it.
+PACKS_FIVE = _KEY_LIMIT >> 3
+UNDER = PACKS_FIVE - 1 - np.array([0, 2, 0, 1, 2])
+
+
+class TestPackedSort:
+    @given(bounded_keys())
+    @settings(max_examples=300)
+    @example((np.array([], dtype=np.int64), 1))
+    @example((np.array([], dtype=np.int64), _KEY_LIMIT))
+    @example((np.array([7], dtype=np.int64), 8))
+    @example((np.zeros(9, dtype=np.int64), 1))
+    @example((UNDER, PACKS_FIVE))
+    @example((UNDER, PACKS_FIVE + 1))
+    def test_matches_np_unique(self, case):
+        key, bound = case
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        with patch.object(np, "argsort", wraps=np.argsort) as spy:
+            assert _first_index(key, bound).tolist() == first.tolist()
+            assert _dense_rank(key, bound).tolist() == inverse.tolist()
+        # Packing is chosen from the bound alone.
+        assert spy.called == (bound > _KEY_LIMIT >> key.size.bit_length())
 
 
 class TestEquivalent:

@@ -7,12 +7,14 @@ their members, breadth first with letters in alphabet order.
 
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regroot import Dfa, dfa_based_on, minimize, nerode_partition, root_automaton, ukl_generators
+from regroot import Dfa, dfa, dfa_based_on, minimize, nerode_partition, root_automaton, ukl_generators
 from regroot.dfa import _reachable, chain_dfa
 
 from conftest import counter_dfa, random_dfa, small_dfas
@@ -81,17 +83,45 @@ def test_unreachable_states(d, extra):
     check(Dfa(n, d.alphabet, delta, d.start, d.finals | {d.n + 1}))
 
 
-def test_u23_root_automaton():
-    d = root_automaton(dfa_based_on(ukl_generators(2, 3))).dfa
-    check(d)
-    assert minimize(d).n == 1847
+@pytest.fixture(scope="module")
+def u23_root():
+    return root_automaton(dfa_based_on(ukl_generators(2, 3))).dfa
 
 
-def test_u23_root_automaton_is_above_the_level_walk_threshold():
+def test_u23_root_automaton(u23_root):
+    check(u23_root)
+    assert minimize(u23_root).n == 1847
+
+
+def test_u23_root_automaton_is_above_the_level_walk_threshold(u23_root):
     # So test_u23_root_automaton checks levels read one state at a time
     # and levels read with numpy, on 1,857 states.
-    d = root_automaton(dfa_based_on(ukl_generators(2, 3))).dfa
-    assert {type(piece) for piece in _reachable(d)} == {list, np.ndarray}
+    assert {type(piece) for piece in _reachable(u23_root)} == {list, np.ndarray}
+
+
+# Key limits patched down: at 0 every sort is a stable argsort, and at the
+# others the sorts of one DFA mix packed sorts and argsorts, and a round
+# ranks between folds.
+LIMITS = [0, 2**8, 2**16]
+
+
+def argsorts_past_the_limit(d, limit):
+    # check(d) with the key limit patched; the number of fallback sorts.
+    with patch.object(dfa, "_KEY_LIMIT", limit), patch.object(np, "argsort", wraps=np.argsort) as spy:
+        check(d)
+    return spy.call_count
+
+
+@given(small_dfas(max_states=8), st.sampled_from(LIMITS))
+@settings(max_examples=200)
+def test_small_dfas_past_the_packing_limit(d, limit):
+    argsorts = argsorts_past_the_limit(d, limit)
+    assert argsorts or limit  # at 0, every sort is an argsort
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_u23_root_automaton_past_the_packing_limit(u23_root, limit):
+    assert argsorts_past_the_limit(u23_root, limit)
 
 
 def test_deep_walk_above_the_threshold():
