@@ -393,8 +393,8 @@ def largest_two_generated(n: int) -> tuple[int, tuple[Transformation, Transforma
     smallest = np.min([_codes(p[rows[:, np.argsort(p[1:])]]) for p in perms], axis=0)
     maps = [Transformation(row) for row in rows.tolist()]
     firsts = [maps[r] for r in np.unique(smallest).tolist()]
-    pair = max(itertools.product(firsts, maps), key=lambda fg: len(closure(fg)))
-    return len(closure(pair)), pair
+    sized = ((len(closure(fg)), fg) for fg in itertools.product(firsts, maps))
+    return max(sized, key=lambda size_pair: size_pair[0])
 
 
 def dfa_based_on(gens, start: int = 1, finals=(1,), letters: tuple[str, ...] | None = None) -> Dfa:

@@ -126,27 +126,25 @@ _budget_gap = partial(_check_range, "gap suite", "max_n", lo=7, hi=100)
 _budget_lower_bound = partial(_check_range, "lower-bound suite", "max_n", lo=7, hi=HK_MAX_N)
 
 
-def suite_min_dfa(k: int, l: int) -> VerifyReport:
-    """Minimal root automaton of U_{k,l}: |M| - C(n,2) states, and which merge.
+def _merge_report(suite: str, params: dict, gens, size: int) -> VerifyReport:
+    """Minimal root automaton of M = <gens>: |M| - C(n,2) states, and which merge.
 
-    One closure, one root construction and one Nerode refinement give every
-    case; the number of classes is the size of the minimal DFA.  Exactly
-    C(n,2) two-element classes must appear, each consisting of a rank-2 map
-    whose value at the start state is unique, paired with its complement;
-    every other class must be a singleton.
+    size is the expected |M| and n the degree of gens.  One closure, one
+    root construction and one Nerode refinement give every case; the
+    number of classes is the size of the minimal DFA.  Exactly C(n,2)
+    two-element classes must appear, each consisting of a rank-2 map whose
+    value at the start state is unique, paired with its complement; every
+    other class must be a singleton.
     """
-    n = _budget_min_dfa(k, l)
     rec = _Recorder()
-    gens = ukl_generators(k, l)
     m = closure(gens)
-    formula = ukl_size_formula(k, l)
-    rec.add("monoid-size-vs-formula", len(m) == formula, formula, len(m))
+    rec.add("monoid-size-vs-formula", len(m) == size, size, len(m))
 
     ra = root_automaton(dfa_based_on(gens), monoid=m)
     states, cls = nerode_partition(ra.dfa)
     sizes = np.bincount(cls)
-    want_pairs = binomial(n, 2)
-    want = formula - want_pairs
+    want_pairs = binomial(m.degree, 2)
+    want = size - want_pairs
     rec.add("root-state-complexity", len(sizes) == want, want, len(sizes))
 
     two = np.flatnonzero(sizes[cls] == 2)
@@ -172,22 +170,19 @@ def suite_min_dfa(k: int, l: int) -> VerifyReport:
 
     want_classes = len(m) - want_pairs
     rec.add("class-count", len(sizes) == want_classes, want_classes, len(sizes))
-    return rec.report("min-dfa", {"k": k, "l": l})
+    return rec.report(suite, params)
+
+
+def suite_min_dfa(k: int, l: int) -> VerifyReport:
+    """The merge report of U_{k,l}, whose size is ukl_size_formula(k, l)."""
+    _budget_min_dfa(k, l)
+    return _merge_report("min-dfa", {"k": k, "l": l}, ukl_generators(k, l), ukl_size_formula(k, l))
 
 
 def suite_full_tn(n: int) -> VerifyReport:
-    """Tightness of the n^n - C(n,2) bound for full-monoid languages."""
+    """Tightness of the n^n - C(n,2) bound: the merge report of T_n's generators."""
     n = _budget_full_tn(n)
-    rec = _Recorder()
-    gens = tn_generators(n)
-    m = closure(gens)
-    rec.add("monoid-is-full", len(m) == n**n, n**n, len(m))
-
-    base = dfa_based_on(gens)
-    sc = minimize(root_automaton(base, monoid=m).dfa).n
-    want = n**n - binomial(n, 2)
-    rec.add("root-state-complexity", sc == want, want, sc)
-    return rec.report("full-tn", {"n": n})
+    return _merge_report("full-tn", {"n": n}, tn_generators(n), n**n)
 
 
 def suite_start_final_variation(k: int, l: int) -> VerifyReport:

@@ -63,10 +63,13 @@ def u34(u34_run):
 
 def test_full_tn_tightness():
     measured = {}
-    for n, size, states in ((4, "256", "250"), (5, "3125", "3115"), (6, "46656", "46641")):
+    runs = ((4, "256", "250", "6"), (5, "3125", "3115", "10"), (6, "46656", "46641", "15"))
+    for n, size, states, pairs in runs:
         c = cases(suite_full_tn(n))
-        assert c["monoid-is-full"].measured == c["monoid-is-full"].expected == size
+        assert c["monoid-size-vs-formula"].measured == c["monoid-size-vs-formula"].expected == size
         assert c["root-state-complexity"].expected == states
+        assert c["two-element-classes"].measured == c["two-element-classes"].expected == pairs
+        assert c["no-larger-classes"].measured == "0"
         measured[n] = c["root-state-complexity"].measured
     ok = measured == {4: "250", 5: "3115", 6: "46641"}
     assert report("1 full-monoid tightness", ok, f"n=4,5,6 -> {measured}")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -16,7 +17,8 @@ from regroot import (
 )
 from regroot import verify
 from regroot.dfa import chain_dfa
-from regroot.verify import SUITES
+from regroot.monoid import tn_generators
+from regroot.verify import SUITES, _merge_report
 
 
 def case_by_name(report, name):
@@ -84,12 +86,42 @@ class TestMinDfa:
         assert case_by_name(r, "monoid-size-vs-formula").expected == "1857"
         assert case_by_name(r, "root-state-complexity").measured == "1847"
 
-    def test_a_wrong_complement_fails_pair_shape(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "run", [lambda: suite_min_dfa(2, 3), lambda: suite_full_tn(3)], ids=["min-dfa", "full-tn"]
+    )
+    def test_a_wrong_complement_fails_pair_shape(self, monkeypatch, run):
         monkeypatch.setattr(Transformation, "complement", lambda self: self)
-        r = suite_min_dfa(2, 3)
+        r = run()
         assert not r.passed
         assert [c.name for c in r.cases if not c.passed] == ["pair-shape"]
         assert case_by_name(r, "pair-shape").measured == "violation found"
+
+
+class TestMergeReport:
+    # Two-generated monoids larger than any U_{k,l} of their degree: at
+    # degree 5 those are U_{2,3} (1,857) and U_{3,2} (1,433), and degree 6
+    # has no coprime split with both cycles of length at least 2.
+    @pytest.mark.parametrize(
+        "gens,size,states,pairs",
+        [
+            (((4, 3, 1, 4, 2), (5, 3, 4, 1, 2)), 2110, 2100, 10),
+            (((1, 1, 2, 3, 4), (2, 3, 5, 1, 4)), 2110, 2100, 10),
+            (((2, 4, 6, 5, 3, 1), (6, 2, 5, 6, 1, 4)), 32262, 32247, 15),
+        ],
+    )
+    def test_other_generator_sets(self, gens, size, states, pairs):
+        r = _merge_report("pair", {}, [Transformation(g) for g in gens], size)
+        assert r.passed
+        assert len(r.cases) == 6
+        assert case_by_name(r, "monoid-size-vs-formula").measured == str(size)
+        assert case_by_name(r, "root-state-complexity").measured == str(states)
+        assert case_by_name(r, "two-element-classes").measured == str(pairs)
+
+    def test_a_wrong_size_fails_the_two_size_cases(self):
+        r = _merge_report("full-tn", {"n": 3}, tn_generators(3), 28)
+        failed = [c.name for c in r.cases if not c.passed]
+        assert failed == ["monoid-size-vs-formula", "root-state-complexity"]
+        assert case_by_name(r, "root-state-complexity").expected == "25"
 
 
 class TestFullTn:
@@ -97,7 +129,16 @@ class TestFullTn:
     def test_small_degrees(self, n, expected):
         r = suite_full_tn(n)
         assert r.passed
+        assert [c.name for c in r.cases] == [
+            "class-count",
+            "monoid-size-vs-formula",
+            "no-larger-classes",
+            "pair-shape",
+            "root-state-complexity",
+            "two-element-classes",
+        ]
         assert case_by_name(r, "root-state-complexity").measured == str(expected)
+        assert case_by_name(r, "two-element-classes").measured == str(math.comb(n, 2))
 
     def test_budget(self):
         # T_7 is within the budget, though the default runs stop at 6.
