@@ -42,8 +42,7 @@ def stirling2(n: int, k: int) -> int:
     Zero whenever k > n or k < 1 (except the empty partition at n = k = 0).
     A ValueError for n > STIRLING_MAX_N otherwise.
     """
-    if type(n) is not int or type(k) is not int:
-        n, k = _as_int(n, "n"), _as_int(k, "k")
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if n < 0 or k < 0:
         raise ValueError(f"arguments must be nonnegative integers, got ({n!r}, {k!r})")
     if k > n or (n > 0 and k < 1):
@@ -52,8 +51,7 @@ def stirling2(n: int, k: int) -> int:
 
 
 def binomial(n: int, k: int) -> int:
-    if type(n) is not int or type(k) is not int:
-        n, k = _as_int(n, "n"), _as_int(k, "k")
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if k < 0 or k > n:

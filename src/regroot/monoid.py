@@ -397,11 +397,9 @@ def largest_two_generated(n: int) -> tuple[int, tuple[Transformation, Transforma
     return max(sized, key=lambda size_pair: size_pair[0])
 
 
-def dfa_based_on(gens, start: int = 1, finals=(1,), letters: tuple[str, ...] | None = None) -> Dfa:
-    """DFA whose letter maps are the given transformations, one letter each."""
+def dfa_based_on(gens) -> Dfa:
+    """DFA whose letters a, b, ... act as gens in turn, with start state 1 and finals {1}."""
     gens, n = _one_degree(gens, "need at least one transformation")
-    if letters is None:
-        if len(gens) > len(_LETTERS):
-            raise ValueError("too many generators for the default alphabet")
-        letters = tuple(_LETTERS[: len(gens)])
-    return Dfa(n, letters, tuple(tuple(g) for g in gens), start, frozenset(finals))
+    if len(gens) > len(_LETTERS):
+        raise ValueError("too many generators for the default alphabet")
+    return Dfa(n, tuple(_LETTERS[: len(gens)]), tuple(tuple(g) for g in gens), 1, {1})

@@ -341,10 +341,6 @@ class TestDfaBasedOn:
         assert d.finals == {1}
         assert d.delta == (tuple(a), tuple(b))
 
-    def test_custom_start_finals_letters(self):
-        d = dfa_based_on([identity(2)], start=2, finals=(1, 2), letters=("x",))
-        assert d.start == 2 and d.finals == {1, 2} and d.alphabet == ("x",)
-
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             dfa_based_on([identity(2), identity(3)])

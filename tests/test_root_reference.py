@@ -120,7 +120,7 @@ def test_high_degree_cycle_pairs(k, l):
     m = closure(gens)
     assert len(m) == k * l
     assert list(m) == rows
-    d = dfa_based_on(gens, finals=(1, k + 1))
+    d = replace(dfa_based_on(gens), finals={1, k + 1})
     assert root_automaton(d, monoid=m).dfa == reference_root(d, rows)
 
 
@@ -211,7 +211,7 @@ DEGREE_9 = [
 )
 def test_each_side_of_the_crossover(gens, dense, dense_closures):
     m = closure(gens)
-    d = dfa_based_on(gens, finals=(1, 2))
+    d = replace(dfa_based_on(gens), finals={1, 2})
     ra = root_automaton(d, monoid=m)
     assert bool(dense_closures) == dense
     assert (m._number is not None) == dense

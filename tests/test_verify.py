@@ -1,10 +1,12 @@
 import json
 import math
+from unittest.mock import patch
 
 import pytest
 
 from regroot import (
     Case,
+    RootAutomaton,
     Transformation,
     VerifyReport,
     suite_counting,
@@ -15,7 +17,7 @@ from regroot import (
     suite_start_final_variation,
     suite_unary,
 )
-from regroot import verify
+from regroot import dfa, verify
 from regroot.dfa import chain_dfa
 from regroot.monoid import tn_generators
 from regroot.verify import SUITES, _merge_report
@@ -162,6 +164,11 @@ class TestStartFinalVariation:
         with pytest.raises(ValueError):
             suite_start_final_variation(3, 4)  # n = 7 > 5
 
+    def test_one_root_automaton_serves_every_assignment(self):
+        with patch.object(verify, "root_automaton", wraps=verify.root_automaton) as spy:
+            assert suite_start_final_variation(2, 3).passed
+        assert spy.call_count == 1
+
 
 class TestUnary:
     def test_small_run(self):
@@ -187,6 +194,24 @@ class TestUnary:
         random_cases = [c for c in r.cases if c.name.startswith("random-n=")]
         assert [c.name for c in random_cases] == ["random-n=02", "random-n=03", "random-n=04"]
         assert not any(c.passed for c in random_cases)
+
+    def test_a_root_larger_than_the_language_fails_every_random_case(self, monkeypatch):
+        # Both constructions agree on a 5-cycle, which no sample of at most
+        # 4 states needs.
+        five = chain_dfa(0, 5, {5})
+        monkeypatch.setattr(verify, "unary_root", lambda d: five)
+        monkeypatch.setattr(verify, "root_automaton", lambda d: RootAutomaton(five, None))
+        r = suite_unary(4, samples=5)
+        single = [c for c in r.cases if c.name.startswith("single-word-n=")]
+        random_cases = [c for c in r.cases if c.name.startswith("random-n=")]
+        assert [c.measured for c in single] == [f"sc {n}, root sc 5, agree True" for n in (2, 3, 4)]
+        assert [c.measured for c in random_cases] == ["0 agreements"] * 3
+
+    def test_three_refinements_per_dfa(self):
+        # 3 single words and 3 * 10 random samples.
+        with patch.object(dfa, "_partition", wraps=dfa._partition) as spy:
+            suite_unary(4, samples=10)
+        assert spy.call_count == 3 * 33
 
 
 class TestCountingSuites:
