@@ -76,6 +76,11 @@ def cmd_ukl(args) -> int:
         payload = {"k": args.k, "l": args.l, "formula": formula}
         lines = [f"formula={formula}"]
         if args.enumerate:
+            if formula > DEFAULT_MAX_ELEMENTS:
+                raise ValueError(
+                    f"--enumerate is refused: the formula gives {formula} elements, "
+                    f"past the closure cap of {DEFAULT_MAX_ELEMENTS}"
+                )
             size = len(closure(ukl_generators(args.k, args.l)))
             payload.update(closure=size, agree=size == formula)
             lines += [f"closure={size}", "AGREE" if size == formula else "DISAGREE"]

@@ -37,7 +37,6 @@ semigroups", 1997), is one lookup of all the products f * g at once.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -285,32 +284,25 @@ def tn_generators(n: int) -> list[Transformation]:
     return [swap, cyc, collapse]
 
 
-@lru_cache(maxsize=None)
-def _pi2(k: int, l: int) -> tuple[int, ...]:
-    # Lexicographically smallest permutation of {1..n-1} that together with
-    # the k-cycle (1 2 ... k) generates the whole symmetric group there.
-    n = k + l
-    m = n - 1
-    pi1 = Transformation([(i + 1) % k + 1 for i in range(k)] + list(range(k + 1, m + 1)))
-    full = math.factorial(m)
-    for cand in itertools.permutations(range(1, m + 1)):
-        if len(closure([pi1, Transformation(cand)], max_elements=full + 1)) == full:
-            return cand
-    raise AssertionError(f"no second generator found for ({k}, {l})")
-
-
 def ukl_generators(k: int, l: int) -> tuple[Transformation, Transformation]:
     """The double cycle and collapsing map generating the near-full monoid.
 
-    The first generator is (1 2 ... k)(k+1 ... k+l).  The second agrees on
-    1..n-1 with a permutation completing the k-cycle to the full symmetric
-    group on n-1 points, and repeats that permutation's first value at n.
+    The first generator is alpha = (1 2 ... k)(k+1 ... k+l).  The second,
+    beta, is on 1..n-1 the cycle pi2 = (j j+1 ... n-1), with j = k if k or
+    l is even and j = k - 1 if both are odd, and beta(n) = 1.  pi2 is the
+    lexicographically smallest permutation of 1..n-1 that completes the
+    k-cycle pi1 = (1 2 ... k) to the whole symmetric group S_{n-1}:
+    - transitivity forces pi2 to act as one cycle on the points it moves
+      past k;
+    - two cycles that share one point generate A_{n-1} or S_{n-1}, so
+      j = k works exactly when one of the two cycles is odd;
+    - when k and l are both odd, the same argument starting at k - 1 gives
+      the even-length cycle (k-1 ... n-1), which is an odd permutation.
     """
     k, l = _check_kl(k, l)
-    alpha = cycle_pair(k, l)
-    pi2 = _pi2(k, l)
-    beta = Transformation(list(pi2) + [pi2[0]])
-    return alpha, beta
+    n = k + l
+    j = k - 1 if k % 2 and l % 2 else k
+    return cycle_pair(k, l), Transformation([*range(1, j), *range(j + 1, n), j, 1])
 
 
 @lru_cache(maxsize=None)

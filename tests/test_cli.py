@@ -21,6 +21,7 @@ from regroot import (
 from regroot import cli
 from regroot.cli import main
 from regroot.counting import BEST_SPLIT_MAX_N, UKL_MAX_N
+from regroot.monoid import DEFAULT_MAX_ELEMENTS
 
 from conftest import EXAMPLE_DFA_TEXT
 
@@ -213,6 +214,25 @@ class TestUkl:
         assert capsys.readouterr().out == (
             '{"k": 2, "l": 3, "formula": 1857, "closure": 6, "agree": false}\n'
         )
+
+    @pytest.mark.parametrize("k, l", [(3, 5), (4, 9)])
+    def test_enumeration_past_the_cap_is_refused_before_closure(self, k, l, monkeypatch, capsys):
+        def refuse(gens):
+            raise AssertionError("closure called")
+
+        monkeypatch.setattr(cli, "closure", refuse)
+        assert main(["ukl", "-k", str(k), "-l", str(l), "--enumerate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --enumerate is refused: the formula gives {ukl_size_formula(k, l)} elements, "
+            f"past the closure cap of {DEFAULT_MAX_ELEMENTS}\n"
+        )
+
+    def test_enumeration_under_the_cap_still_runs(self, capsys):
+        assert ukl_size_formula(2, 5) == 610_871 <= DEFAULT_MAX_ELEMENTS
+        assert main(["ukl", "-k", "2", "-l", "5", "--enumerate"]) == 0
+        assert capsys.readouterr().out == "formula=610871\nclosure=610871\nAGREE\n"
 
 
 class TestScalars:

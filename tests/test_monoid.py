@@ -21,7 +21,8 @@ from regroot import (
     ukl_member,
     ukl_member_mask,
 )
-from regroot.monoid import _alpha_power_rows, _pi2
+from regroot import monoid
+from regroot.monoid import _alpha_power_rows
 
 
 def all_maps(n):
@@ -178,6 +179,25 @@ class TestTnGenerators:
             tn_generators(0)
 
 
+# The coprime pairs k, l >= 2 with k + l <= 9.
+COPRIME_PAIRS_TO_9 = [
+    (k, n - k) for n in range(5, 10) for k in range(2, n - 1) if math.gcd(k, n - k) == 1
+]
+
+
+def searched_pi2(k, l):
+    # pi1 = (1 2 ... k) on 1..n-1, and the lexicographically first
+    # permutation pi2 of 1..n-1 with which it generates all of S_{n-1},
+    # found by closing the pair for each candidate in turn.
+    m = k + l - 1
+    pi1 = Transformation([*range(2, k + 1), 1, *range(k + 1, m + 1)])
+    full = math.factorial(m)
+    for cand in itertools.permutations(range(1, m + 1)):
+        if len(closure([pi1, Transformation(cand)], max_elements=full + 1)) == full:
+            return pi1, Transformation(cand)
+    raise AssertionError(f"no second generator for ({k}, {l})")
+
+
 class TestUklGenerators:
     def test_alpha_for_2_3(self):
         a, b = ukl_generators(2, 3)
@@ -190,10 +210,33 @@ class TestUklGenerators:
             assert b[n - 1] == b[0]
             assert b.rank() == n - 1
 
-    def test_pi2_generates_whole_symmetric_group(self):
-        pi2 = Transformation(_pi2(2, 3))
-        pi1 = Transformation([2, 1, 3, 4])
-        assert len(closure([pi1, pi2])) == 24
+    @pytest.mark.parametrize("k, l", COPRIME_PAIRS_TO_9)
+    def test_closed_form_is_the_lexicographic_search(self, k, l):
+        pi1, searched = searched_pi2(k, l)
+        alpha, beta = ukl_generators(k, l)
+        assert alpha == cycle_pair(k, l)
+        assert beta == Transformation((*searched, searched[0]))
+        pi2 = Transformation(tuple(beta)[:-1])
+        assert len(closure([pi1, pi2])) == math.factorial(k + l - 1)
+
+    @pytest.mark.parametrize("k, l", [(3, 7), (4, 9), (127, 128)])
+    def test_closed_form_runs_no_closure(self, k, l, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ukl_generators called closure")
+
+        monkeypatch.setattr(monoid, "closure", refuse)
+        _, beta = ukl_generators(k, l)
+        n = k + l
+        assert beta.rank() == n - 1
+        assert beta(n) == 1
+        moved = [p for p in range(1, n) if beta(p) != p]
+        cycle = [moved[0]]
+        while beta(cycle[-1]) != moved[0]:
+            cycle.append(beta(cycle[-1]))
+        assert sorted(cycle) == moved == list(range(moved[0], n))
+        # The k-cycle pi1 or the cycle pi2 has even length, so is an odd
+        # permutation, and the pair does not lie in A_{n-1}.
+        assert k % 2 == 0 or len(cycle) % 2 == 0
 
     def test_rejects_degenerate_or_non_coprime(self):
         with pytest.raises(ValueError):
