@@ -37,13 +37,12 @@ semigroups", 1997), is one lookup of all the products f * g at once.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
 from .counting import _check_kl
 from .dfa import Dfa
-from .transform import Transformation, _as_int, _as_points, cycle_pair, identity
+from .transform import Transformation, _as_int, cycle_pair, identity
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 LARGEST2_MAX_N = 4
@@ -305,34 +304,24 @@ def ukl_generators(k: int, l: int) -> tuple[Transformation, Transformation]:
     return cycle_pair(k, l), Transformation([*range(1, j), *range(j + 1, n), j, 1])
 
 
-@lru_cache(maxsize=None)
-def _alpha_power_rows(k: int, l: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(tuple(f) for f in closure([cycle_pair(k, l)]))
-
-
 def ukl_member(g, k: int, l: int) -> bool:
     """Membership test for the two-generated near-full monoid, by definition.
 
     True iff g is a power of the double cycle, or g merges some point of
     {1..k} with some point of {k+1..n} while missing some point of
-    {k+1..n} from its image.
+    {k+1..n} from its image.  This is ukl_member_mask on the one row g,
+    once g has passed the checks of a Transformation of degree k + l.
     """
     k, l = _check_kl(k, l)
     n = k + l
     row = tuple(g)
     if len(row) != n:
         raise ValueError(f"degree mismatch: {len(row)} vs {n}")
-    row = _as_points(row, n, "image value")
-    if row in _alpha_power_rows(k, l):
-        return True
-    img = set(row)
-    if all(m in img for m in range(k + 1, n + 1)):
-        return False
-    return any(row[i] == row[j] for i in range(k) for j in range(k, n))
+    return bool(ukl_member_mask(np.array([Transformation(row)]), k, l)[0])
 
 
 def ukl_member_mask(rows, k: int, l: int) -> np.ndarray:
-    """ukl_member for every row of an (m, k + l) integer array, as a bool mask."""
+    """The rule of ukl_member for every row of an (m, k + l) integer array, as a bool mask."""
     k, l = _check_kl(k, l)
     n = k + l
     rows = np.asarray(rows)
@@ -351,13 +340,20 @@ def ukl_member_mask(rows, k: int, l: int) -> np.ndarray:
     low = (np.arange(k) + r[:, :1] - 1) % k + 1
     high = (np.arange(l) + r[:, k : k + 1] - k - 1) % l + k + 1
     power = (r[:, :k] == low).all(axis=1) & (r[:, k:] == high).all(axis=1)
-    misses = np.zeros(len(r), bool)
-    for p in range(k + 1, n + 1):
-        misses |= ~(r == p).any(axis=1)
-    merges = np.zeros(len(r), bool)
-    for i in range(k):
-        for j in range(k, n):
-            merges |= r[:, i] == r[:, j]
+    # The image table: entry (v, j) has bit 1 when a point of 1..k in row j
+    # maps to v, and bit 2 when a point of k+1..n does.  Row j misses a high
+    # point where one of entries k+1..n of table column j is 0, and merges
+    # across where some entry of that column is 3.  The columns of r scatter
+    # in one at a time, widened to intp first, so the offsets v m + j take m
+    # words, not m n, and do not wrap in int16 whatever numpy's promotion.
+    m = len(r)
+    table = np.zeros((n + 1, m), np.uint8)
+    flat = table.ravel()
+    base = np.arange(m, dtype=np.intp)
+    for i in range(n):
+        flat[r[:, i].astype(np.intp) * m + base] |= 1 if i < k else 2
+    misses = (table[k + 1 :] == 0).any(axis=0)
+    merges = (table == 3).any(axis=0)
     return power | misses & merges
 
 

@@ -225,6 +225,7 @@ def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> Verify
     construction and never needs more states than the original language.
     """
     max_n = _budget_unary(max_n)
+    samples = _check_range("unary suite", "samples", samples, lo=1, hi=1000)
     rec = _Recorder()
     for n in range(2, max_n + 1):
         sc, root_sc, agree = _unary_case(chain_dfa(n - 1, 1, {n - 1}))  # a^(n-2), then a dead loop

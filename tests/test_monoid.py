@@ -22,7 +22,6 @@ from regroot import (
     ukl_member_mask,
 )
 from regroot import monoid
-from regroot.monoid import _alpha_power_rows
 
 
 def all_maps(n):
@@ -33,6 +32,30 @@ def all_rows(n):
     # The n^n image rows of degree n as an (n^n, n) uint8 array, in
     # lexicographic order.
     return np.indices((n,) * n, dtype=np.uint8).reshape(n, -1).T + 1
+
+
+def alpha_powers(k, l):
+    # alpha^0, alpha^1, ..., alpha^(kl - 1) for alpha = cycle_pair(k, l),
+    # each the product of the one before with alpha.
+    alpha = cycle_pair(k, l)
+    powers = [identity(k + l)]
+    for _ in range(k * l - 1):
+        powers.append(powers[-1] * alpha)
+    return powers
+
+
+def member_by_definition(row, k, l, powers):
+    # U_{k,l} membership as the paper states it: a power of alpha, or a map
+    # that merges a point of {1..k} with one of {k+1..n} and misses a point
+    # of {k+1..n}.  powers is the set of the powers of alpha.
+    n = k + l
+    row = tuple(row)
+    if row in powers:
+        return True
+    img = set(row)
+    if all(m in img for m in range(k + 1, n + 1)):
+        return False
+    return any(row[i] == row[j] for i in range(k) for j in range(k, n))
 
 
 class TestClosure:
@@ -284,27 +307,62 @@ class TestUklMember:
         rows = all_rows(5)
         assert ukl_member_mask(rows, 2, 3).tolist() == [ukl_member(t, 2, 3) for t in rows.tolist()]
 
-    def test_membership_count_equals_closure_at_3_4(self):
+    @pytest.mark.parametrize(
+        "k, l, size", [(3, 4, 607285), (4, 3, 532675), (2, 5, 610871), (5, 2, 392797)]
+    )
+    def test_membership_set_equals_closure_at_n7(self, k, l, size):
         rows = all_rows(7)
-        members = rows[ukl_member_mask(rows, 3, 4)]
-        # |U_{3,4}| by closure is pinned by test_acceptance's min-dfa check.
-        assert len(members) == 607285
+        members = rows[ukl_member_mask(rows, k, l)]
+        # size is the formula's |U_{k,l}|, as test_counting pins it.
+        assert len(members) == size
         # members are sorted, and so are the closure's rows after its identity.
-        keys = np.sort(closure(ukl_generators(3, 4)).rows.view("S7").ravel())
+        keys = np.sort(closure(ukl_generators(k, l)).rows.view("S7").ravel())
         assert np.array_equal(members.view("S7").ravel(), keys)
 
-    @pytest.mark.parametrize("k, l", [(2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (5, 2)])
+    @pytest.mark.parametrize(
+        "k, l", [(2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (5, 2), (7, 9), (100, 101), (127, 128)]
+    )
     def test_mask_agrees_with_the_scalar_form_on_a_sample(self, k, l):
         n = k + l
         sample = np.random.default_rng(k * 10 + l).integers(1, n + 1, size=(1000, n))
         # Random rows are almost never permutations: add the powers of the
         # double cycle, and permutations that are not.
-        powers = np.array(sorted(_alpha_power_rows(k, l)))
+        powers = alpha_powers(k, l)
         others = np.array(list(itertools.islice(itertools.permutations(range(1, n + 1)), 200)))
-        rows = np.concatenate([sample, powers, others])
+        rows = np.concatenate([sample, np.array(powers), others])
         mask = ukl_member_mask(rows, k, l)
-        assert mask.tolist() == [ukl_member(t, k, l) for t in rows.tolist()]
+        powers = set(powers)
+        assert mask.tolist() == [member_by_definition(t, k, l, powers) for t in rows.tolist()]
         assert mask[1000 : 1000 + k * l].all()
+        assert [ukl_member(t, k, l) for t in rows[::50].tolist()] == mask[::50].tolist()
+
+    @pytest.mark.parametrize("k, l", [(2, 3), (3, 2), (3, 4), (4, 3), (2, 5), (5, 2)])
+    def test_members_among_permutations_are_the_powers_of_alpha(self, k, l):
+        n = k + l
+        perms = np.array(list(itertools.permutations(range(1, n + 1))))
+        members = {tuple(t) for t in perms[ukl_member_mask(perms, k, l)].tolist()}
+        assert members == {cycle_pair(k, l) ** i for i in range(k * l)}
+        assert len(members) == k * l
+
+    @pytest.mark.parametrize("k, l", [(3, 4), (127, 128)])
+    def test_membership_runs_no_closure(self, k, l, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("membership must not close a monoid")
+
+        monkeypatch.setattr(monoid, "closure", refuse)
+        n = k + l
+        alpha = cycle_pair(k, l)
+        assert ukl_member(identity(n), k, l)
+        assert ukl_member(alpha, k, l)
+        assert ukl_member(alpha * alpha * alpha, k, l)
+        # the transposition of 1 and k + 1 is no power of alpha
+        assert not ukl_member(Transformation([k + 1, *range(2, k + 1), 1, *range(k + 2, n + 1)]), k, l)
+        # 1 and k + 1 both go to k + 1, and n is missed: in
+        assert ukl_member(Transformation([k + 1, *range(2, n), n - 1]), k, l)
+        # 1 and 2 merge, n - 1 and n merge and n is missed, but no point of
+        # 1..k meets one of k+1..n: out
+        assert not ukl_member(Transformation([1, 1, *range(3, n), n - 1]), k, l)
+        assert ukl_member(ukl_generators(k, l)[1], k, l)
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -337,13 +395,6 @@ class TestUklMember:
     def test_rows_that_are_not_maps_are_refused(self, row, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ukl_member(row, 2, 3)
-
-    def test_alpha_powers_are_the_closure_of_alpha(self):
-        for k, l in itertools.product(range(2, 9), repeat=2):
-            if math.gcd(k, l) == 1:
-                alpha = cycle_pair(k, l)
-                powers = {tuple(alpha**i) for i in range(k * l)}
-                assert _alpha_power_rows(k, l) == powers
 
 
 class TestLargestTwoGenerated:

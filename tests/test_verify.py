@@ -185,6 +185,11 @@ class TestUnary:
     def test_budget(self):
         with pytest.raises(ValueError):
             suite_unary(15)
+        for samples in (0, -3, 1001):
+            with pytest.raises(ValueError, match=f"1 <= samples <= 1000, got {samples}"):
+                suite_unary(4, samples=samples)
+        with pytest.raises(ValueError, match="samples 2.5 is not an integer"):
+            suite_unary(4, samples=2.5)
 
     def test_a_wrong_unary_root_fails_every_random_case(self, monkeypatch):
         # The empty language is the root of no sample with a final state.
