@@ -105,52 +105,33 @@ def cmd_largest2(args) -> int:
     return 0
 
 
-# The verify options that each suite reads, by argparse name; any other
-# option is refused, and `all` runs the defaults and reads none.
-_SUITE_OPTIONS = {
-    "full-tn": ("max_n",),
-    "min-dfa": ("max_n", "k", "l"),
-    "start-final": ("k", "l"),
-    "unary": ("max_n", "seed"),
-    "gap": ("max_n",),
-    "lower-bound": ("max_n",),
-}
 _FLAGS = {"max_n": "--max-n", "seed": "--seed", "k": "-k", "l": "-l"}
 
 
-def _suite_runs(name: str, runs, args) -> list[tuple]:
-    # The runs that the options select in place of the suite's default runs.
-    if args.k is not None or args.l is not None:
-        if args.k is None or args.l is None:
-            raise ValueError("pass both -k and -l")
-        if args.max_n is not None:
-            raise ValueError("--max-n cannot be combined with -k and -l")
-        return [(args.k, args.l)]
-    if args.max_n is None:
-        return list(runs)
-    if name == "full-tn":
-        return [(n,) for n in range(1, args.max_n + 1)]
-    if name == "min-dfa":
-        return [(k, l) for k, l in runs if k + l <= args.max_n]
-    return [(args.max_n,)]
-
-
 def cmd_verify(args) -> int:
+    # An option that the suite does not read is refused; `all` reads none.
+    reads = SUITES[args.suite].options if args.suite in SUITES else ()
     for option, flag in _FLAGS.items():
-        if getattr(args, option) is not None and option not in _SUITE_OPTIONS.get(args.suite, ()):
+        if getattr(args, option) is not None and option not in reads:
             raise ValueError(f"--suite {args.suite} takes no {flag}")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    if (args.k is None) != (args.l is None):
+        raise ValueError("pass both -k and -l")
+    if args.k is not None and args.max_n is not None:
+        raise ValueError("--max-n cannot be combined with -k and -l")
+    suites = SUITES.values() if args.suite == "all" else [SUITES[args.suite]]
     keywords = {} if args.seed is None else {"seed": args.seed}
     calls = []
-    for name in names:
-        suite, budget, runs = SUITES[name]
-        runs = _suite_runs(name, runs, args)
+    for suite in suites:
+        if args.k is not None:
+            runs = [(args.k, args.l)]
+        else:
+            runs = suite.defaults if args.max_n is None else suite.select(args.max_n, suite.defaults)
         if not runs:
-            raise ValueError(f"--max-n {args.max_n} selects no {name} run")
+            raise ValueError(f"--max-n {args.max_n} selects no {args.suite} run")
         for run in runs:
-            budget(*run)
-        calls += [(suite, run) for run in runs]
-    reports = [suite(*run, **keywords) for suite, run in calls]
+            suite.budget(*run)
+        calls += [(suite.run, run) for run in runs]
+    reports = [fn(*run, **keywords) for fn, run in calls]
     ok = all(r.passed for r in reports)
     if args.json:
         print(json.dumps({"reports": [r.to_dict() for r in reports], "pass": ok}))

@@ -337,8 +337,8 @@ def ukl_member_mask(rows, k: int, l: int) -> np.ndarray:
     # k + (i - k - 1 + t) mod l + 1.  Read t mod k off the image of 1 and
     # t mod l off that of k + 1; k and l are coprime, so every such pair
     # is one power.
-    low = (np.arange(k) + r[:, :1] - 1) % k + 1
-    high = (np.arange(l) + r[:, k : k + 1] - k - 1) % l + k + 1
+    low = (np.arange(k, dtype=np.int16) + r[:, :1] - 1) % k + 1
+    high = (np.arange(l, dtype=np.int16) + r[:, k : k + 1] - k - 1) % l + k + 1
     power = (r[:, :k] == low).all(axis=1) & (r[:, k:] == high).all(axis=1)
     # The image table: entry (v, j) has bit 1 when a point of 1..k in row j
     # maps to v, and bit 2 when a point of k+1..n does.  Row j misses a high

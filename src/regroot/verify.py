@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -226,6 +227,7 @@ def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> Verify
     """
     max_n = _budget_unary(max_n)
     samples = _check_range("unary suite", "samples", samples, lo=1, hi=1000)
+    seed = _as_int(seed, "seed")
     rec = _Recorder()
     for n in range(2, max_n + 1):
         sc, root_sc, agree = _unary_case(chain_dfa(n - 1, 1, {n - 1}))  # a^(n-2), then a dead loop
@@ -339,15 +341,31 @@ def suite_lower_bound(max_n: int = 30) -> VerifyReport:
     return rec.report("lower-bound", {"max_n": max_n})
 
 
-# Each `verify --suite` name: its suite, its budget and its default runs,
-# one tuple of positional arguments each.  `verify --suite all` makes every
-# default run, in this order.
+@dataclass(frozen=True)
+class Suite:
+    """One `verify --suite` name.  A new non-default run is one more entry, with its budget.
+
+    Each run is a tuple of positional arguments for run, which budget checks
+    before any work.  `--suite all` makes the defaults, in table order;
+    options names the verify options that the suite reads, by argparse dest,
+    and select(N, defaults) gives the runs of `--max-n N`.
+    """
+
+    run: Callable[..., VerifyReport]
+    budget: Callable[..., object]
+    defaults: tuple[tuple, ...]
+    options: tuple[str, ...] = ()
+    select: Callable[[int, tuple], list[tuple]] = lambda max_n, defaults: [(max_n,)]
+
+
 SUITES = {
-    "full-tn": (suite_full_tn, _budget_full_tn, tuple((n,) for n in range(1, 7))),
-    "min-dfa": (suite_min_dfa, _budget_min_dfa, ((2, 3), (3, 4))),
-    "start-final": (suite_start_final_variation, _budget_start_final, ((2, 3),)),
-    "unary": (suite_unary, _budget_unary, ((12,),)),
-    "counting": (suite_counting, lambda: None, ((),)),
-    "gap": (suite_gap, _budget_gap, ((40,),)),
-    "lower-bound": (suite_lower_bound, _budget_lower_bound, ((30,),)),
+    "full-tn": Suite(suite_full_tn, _budget_full_tn, tuple((n,) for n in range(1, 7)), ("max_n",),
+                     lambda max_n, defaults: [(n,) for n in range(1, max_n + 1)]),
+    "min-dfa": Suite(suite_min_dfa, _budget_min_dfa, ((2, 3), (3, 4)), ("max_n", "k", "l"),
+                     lambda max_n, defaults: [(k, l) for k, l in defaults if k + l <= max_n]),
+    "start-final": Suite(suite_start_final_variation, _budget_start_final, ((2, 3),), ("k", "l")),
+    "unary": Suite(suite_unary, _budget_unary, ((12,),), ("max_n", "seed")),
+    "counting": Suite(suite_counting, lambda: None, ((),)),
+    "gap": Suite(suite_gap, _budget_gap, ((40,),), ("max_n",)),
+    "lower-bound": Suite(suite_lower_bound, _budget_lower_bound, ((30,),), ("max_n",)),
 }

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,6 +287,10 @@ def start_final_params(k, l):
     return verify.suite_start_final_variation(k, l).params
 
 
+def unary_params(seed):
+    return verify.suite_unary(2, seed=seed, samples=1).params
+
+
 # Each function behind a command, its integer arguments, and which one to
 # replace; a bool or a float there is refused, a numpy integer is read.
 INTEGER_ARGUMENTS = [
@@ -305,6 +310,7 @@ INTEGER_ARGUMENTS = [
     (hk_lower_bound, (8,), 0),
     (full_tn_params, (3,), 0),
     (start_final_params, (2, 3), 0),
+    (unary_params, (3,), 0),
 ]
 _IDS = [f"{fn.__name__}-{slot}" for fn, _, slot in INTEGER_ARGUMENTS]
 
@@ -348,11 +354,29 @@ class TestVerify:
 
     def test_budget_is_checked_before_any_run(self, monkeypatch, capsys):
         calls = []
-        _, budget, runs = verify.SUITES["full-tn"]
-        monkeypatch.setitem(verify.SUITES, "full-tn", (lambda n: calls.append(n), budget, runs))
+        entry = verify.SUITES["full-tn"]
+        monkeypatch.setitem(verify.SUITES, "full-tn", replace(entry, run=lambda n: calls.append(n)))
         assert main(["verify", "--suite", "full-tn", "--max-n", "9"]) == 2
         assert calls == []
         assert "1 <= n <= 7, got 8" in capsys.readouterr().err
+
+    def test_all_runs_the_table_defaults_after_every_budget(self, monkeypatch, capsys):
+        events = []
+        for name, entry in list(verify.SUITES.items()):
+
+            def budget(*run, name=name, check=entry.budget):
+                events.append(("budget", name, run))
+                check(*run)
+
+            def suite(*run, name=name):
+                events.append(("suite", name, run))
+                return verify.VerifyReport(name, {})
+
+            monkeypatch.setitem(verify.SUITES, name, replace(entry, run=suite, budget=budget))
+        assert main(["verify", "--suite", "all", "--json"]) == 0
+        want = [(name, run) for name, entry in verify.SUITES.items() for run in entry.defaults]
+        assert [(name, run) for kind, name, run in events if kind == "suite"] == want
+        assert [kind for kind, _, _ in events] == ["budget"] * len(want) + ["suite"] * len(want)
 
     @pytest.mark.parametrize("suite", ["full-tn", "min-dfa", "unary", "gap", "lower-bound"])
     def test_max_n_zero_is_not_the_default(self, suite, capsys):

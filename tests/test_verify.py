@@ -144,9 +144,9 @@ class TestFullTn:
 
     def test_budget(self):
         # T_7 is within the budget, though the default runs stop at 6.
-        _, budget, runs = SUITES["full-tn"]
-        assert budget(7) == 7
-        assert max(runs) == (6,)
+        entry = SUITES["full-tn"]
+        assert entry.budget(7) == 7
+        assert max(entry.defaults) == (6,)
         with pytest.raises(ValueError, match="1 <= n <= 7, got 8"):
             suite_full_tn(8)
         with pytest.raises(ValueError):
@@ -253,8 +253,8 @@ def test_counting_suite_passes():
 
 
 def test_every_default_run_is_within_its_budget():
-    for _, budget, runs in SUITES.values():
-        assert runs
-        for run in runs:
-            budget(*run)
-    assert SUITES["min-dfa"][2] == ((2, 3), (3, 4))
+    for entry in SUITES.values():
+        assert entry.defaults
+        for run in entry.defaults:
+            entry.budget(*run)
+    assert SUITES["min-dfa"].defaults == ((2, 3), (3, 4))
