@@ -13,6 +13,11 @@ States are named 1..n.  The text format is line oriented, UTF-8, with
 There is exactly one ``trans`` line per alphabet letter; the i-th integer
 on a ``trans x`` line is the successor of state i on letter x.  ``finals``
 lists zero or more states.  Only complete transition tables are accepted.
+
+A Dfa holds its transitions as one read-only (letters, n) int32 array and
+its final states as a read-only, sorted, duplicate-free int32 array, so an
+automaton of 10^7 states goes from the root construction through
+minimize to the text format without a Python int per transition.
 """
 
 from __future__ import annotations
@@ -36,41 +41,53 @@ class DfaParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Dfa:
-    """Complete DFA: delta[i][q-1] is the successor of state q on alphabet[i]."""
+    """Complete DFA: delta[i, q-1] is the successor of state q on alphabet[i].
+
+    delta is a read-only (len(alphabet), n) int32 array, and finals a
+    read-only int32 array of the final states, sorted and without
+    duplicates.  Each may be given as an integer array or as Python
+    sequences, and the Dfa holds its own copy.  Two Dfas are equal when n,
+    alphabet, start and the bytes of both arrays are.
+    """
 
     n: int
     alphabet: tuple[str, ...]
-    delta: tuple[tuple[int, ...], ...]
+    delta: np.ndarray
     start: int
-    finals: frozenset[int]
+    finals: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _as_int(self.n, "state count"))
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        delta = tuple(tuple(row) for row in self.delta)
-        if self.n < 1:
+    def __init__(self, n, alphabet, delta, start, finals):
+        n = _as_int(n, "state count")
+        alphabet = tuple(alphabet)
+        if n < 1:
             raise ValueError("a DFA needs at least one state")
-        if not self.alphabet:
+        if not alphabet:
             raise ValueError("alphabet must not be empty")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
-        for a in self.alphabet:
+        for a in alphabet:
             if not a or a.split() != [a]:
                 raise ValueError(f"letter {a!r} is not a single token")
-        if len(delta) != len(self.alphabet):
-            raise ValueError("need exactly one transition row per letter")
-        for a, row in zip(self.alphabet, delta):
-            if len(row) != self.n:
-                raise ValueError(f"transition row for {a!r} has {len(row)} entries, expected {self.n}")
-        # Every state passes through operator.index, so numpy integers are
-        # stored as ints and bools and floats are refused.
-        object.__setattr__(self, "delta", tuple(_as_points(row, self.n, "state") for row in delta))
-        object.__setattr__(self, "start", _as_int(self.start, "start state"))
-        if not 1 <= self.start <= self.n:
-            raise ValueError(f"start state {self.start} out of range 1..{self.n}")
-        object.__setattr__(self, "finals", frozenset(_as_points(self.finals, self.n, "state")))
+        delta = _state_table(delta, n, alphabet)
+        start = _as_int(start, "start state")
+        if not 1 <= start <= n:
+            raise ValueError(f"start state {start} out of range 1..{n}")
+        finals = _state_set(finals, n)
+        # Each field is set once, past the frozen __setattr__.
+        self.__dict__.update(n=n, alphabet=alphabet, delta=delta, start=start, finals=finals)
+
+    def _key(self) -> tuple:
+        return self.n, self.alphabet, self.start, self.delta.tobytes(), self.finals.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dfa):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def letter_index(self, a: str) -> int:
         try:
@@ -79,7 +96,65 @@ class Dfa:
             raise ValueError(f"unknown letter {a!r}") from None
 
     def letter_transformation(self, a: str) -> Transformation:
-        return Transformation(self.delta[self.letter_index(a)])
+        return Transformation(self.delta[self.letter_index(a)].tolist())
+
+
+# numpy's fixed cost per call is worth about this many entries of a Python
+# list, so an array of fewer entries is checked, read and written as a list.
+_FEW = 64
+
+
+def _big_array(values, ndim: int, n: int) -> bool:
+    # Whether values is an ndim-dimensional integer array of at least _FEW
+    # entries, all in 1..n, checked by one min and max.
+    return (
+        isinstance(values, np.ndarray)
+        and values.ndim == ndim
+        and values.size >= _FEW
+        and values.dtype.kind in "iu"
+        and 1 <= values.min()
+        and values.max() <= n
+    )
+
+
+def _state_table(delta, n: int, alphabet: tuple[str, ...]) -> np.ndarray:
+    # delta as a new read-only (letters, n) int32 array.  A big integer
+    # array of that shape is copied.  Anything else, an array through
+    # tolist, is read as rows of states, and its first bad row or state is
+    # the ValueError, as for the same rows given as lists.
+    if _big_array(delta, 2, n) and delta.shape == (len(alphabet), n):
+        table = delta.astype(np.int32, order="C")
+    else:
+        if isinstance(delta, np.ndarray):
+            delta = delta.tolist()
+        rows = [tuple(row) for row in delta]
+        if len(rows) != len(alphabet):
+            raise ValueError("need exactly one transition row per letter")
+        for a, row in zip(alphabet, rows):
+            if len(row) != n:
+                raise ValueError(f"transition row for {a!r} has {len(row)} entries, expected {n}")
+        # Every state passes through operator.index, so bools and floats
+        # are refused.
+        table = np.array([_as_points(row, n, "state") for row in rows], dtype=np.int32)
+    table.setflags(write=False)
+    return table
+
+
+def _state_set(finals, n: int) -> np.ndarray:
+    # finals as a new read-only int32 array, sorted and without duplicates,
+    # read as _state_table reads delta.
+    if _big_array(finals, 1, n):
+        states = finals.astype(np.int32)
+        if np.count_nonzero(states[1:] <= states[:-1]):
+            mask = np.zeros(n + 1, dtype=bool)
+            mask[finals] = True
+            states = np.flatnonzero(mask).astype(np.int32)
+    else:
+        if isinstance(finals, np.ndarray):
+            finals = finals.tolist()
+        states = np.array(sorted(set(_as_points(finals, n, "state"))), dtype=np.int32)
+    states.setflags(write=False)
+    return states
 
 
 def parse(text) -> Dfa:
@@ -87,25 +162,30 @@ def parse(text) -> Dfa:
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
     header: dict[str, list | None] = dict.fromkeys(("states", "alphabet", "start", "finals"))
-    trans: dict[str, tuple[tuple[int, ...], int]] = {}
+    trans: dict[str, tuple[list[int], int]] = {}
 
-    def want_int(token: str, lineno: int) -> int:
+    def want_ints(tokens: list[str], lineno: int) -> list[int]:
         try:
-            return int(token)
+            return list(map(int, tokens))
         except ValueError:
-            raise DfaParseError(f"expected an integer, got {token!r}", lineno) from None
+            pass
+        for token in tokens:
+            try:
+                int(token)
+            except ValueError:
+                raise DfaParseError(f"expected an integer, got {token!r}", lineno) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        words = raw.split()
+        if not words or words[0].startswith("#"):
             continue
-        key, *args = line.split()
+        key, *args = words
         if key == "trans":
             if not args:
                 raise DfaParseError("'trans' expects a letter and successor states", lineno)
             if args[0] in trans:
                 raise DfaParseError(f"duplicate 'trans' line for letter {args[0]!r}", lineno)
-            trans[args[0]] = (tuple(want_int(tok, lineno) for tok in args[1:]), lineno)
+            trans[args[0]] = (want_ints(args[1:], lineno), lineno)
             continue
         if key not in header:
             raise DfaParseError(f"unknown keyword {key!r}", lineno)
@@ -120,7 +200,7 @@ def parse(text) -> Dfa:
                 raise DfaParseError("duplicate letter in alphabet", lineno)
             header[key] = args
         else:
-            header[key] = [want_int(tok, lineno) for tok in args]
+            header[key] = want_ints(args, lineno)
         if key == "states" and header[key][0] < 1:
             raise DfaParseError(f"state count {header[key][0]} must be positive", lineno)
 
@@ -133,15 +213,16 @@ def parse(text) -> Dfa:
             raise DfaParseError(f"letter {letter!r} not in alphabet", lineno)
         if len(row) != n:
             raise DfaParseError(f"expected {n} successors, got {len(row)}", lineno)
-        for q in row:
-            if not 1 <= q <= n:
-                raise DfaParseError(f"state {q} out of range 1..{n}", lineno)
+        if min(row) < 1 or max(row) > n:
+            q = next(q for q in row if not 1 <= q <= n)
+            raise DfaParseError(f"state {q} out of range 1..{n}", lineno)
     for letter in alphabet:
         if letter not in trans:
             raise DfaParseError(f"missing 'trans' line for letter {letter!r}")
     # The start and final states are checked by Dfa, with no line to name.
     try:
-        return Dfa(n, alphabet, [trans[a][0] for a in alphabet], start, finals)
+        rows = [trans[a][0] for a in alphabet]
+        return Dfa(n, alphabet, np.array(rows, dtype=np.int32) if n >= _FEW else rows, start, finals)
     except ValueError as exc:
         raise DfaParseError(str(exc)) from None
 
@@ -152,11 +233,28 @@ def serialize(d: Dfa) -> str:
         f"states {d.n}",
         "alphabet " + " ".join(d.alphabet),
         f"start {d.start}",
-        ("finals " + " ".join(str(q) for q in sorted(d.finals))).rstrip(),
+        ("finals " + _decimal(d.finals)).rstrip(),
     ]
     for a, row in zip(d.alphabet, d.delta):
-        lines.append(f"trans {a} " + " ".join(str(q) for q in row))
+        lines.append(f"trans {a} " + _decimal(row))
     return "\n".join(lines) + "\n"
+
+
+def _decimal(states: np.ndarray) -> str:
+    # The positive integers of a 1-D array in decimal, space separated.  A
+    # big array is written as a matrix of one state per line: each line is
+    # its digits, most significant first, then a space, with the leading
+    # zeros masked out of the bytes it joins.
+    if len(states) < _FEW:
+        return " ".join(map(str, states.tolist()))
+    width = len(str(states.max()))
+    chars = np.full((len(states), width + 1), ord(" "), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    for i in range(width):
+        high = states // 10 ** (width - 1 - i)
+        chars[:, i] = high % 10 + ord("0")
+        keep[:, i] = high > 0
+    return chars[keep][:-1].tobytes().decode("ascii")
 
 
 def word_transformation(d: Dfa, w) -> Transformation:
@@ -165,9 +263,10 @@ def word_transformation(d: Dfa, w) -> Transformation:
 
 
 def accepts(d: Dfa, w) -> bool:
+    delta = memoryview(d.delta)
     q = d.start
     for a in w:
-        q = d.delta[d.letter_index(a)][q - 1]
+        q = delta[d.letter_index(a), q - 1]
     return q in d.finals
 
 
@@ -178,17 +277,21 @@ _PASS_READS = 100
 def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
     """The states reachable from the start, in _partition's order, in pieces.
 
-    A list holds each run of levels read one state at a time, and an
-    array each level found by a pass over delta = np.array(d.delta),
-    which is built here if a level needs it and it is not given.  A pass
+    A list holds each run of levels read one state at a time, through a
+    flat memoryview of d.delta, and an array each level found by a pass
+    over delta, d.delta unless another copy of it is given.  A pass
     gathers the level's successors, parent-major and letter-minor, drops
     the states already seen, and keeps each other state at its first
     occurrence.  _first_index finds those by one np.sort of each state
     packed with its position (see _KEY_LIMIT), below (n + 1) << bits;
     the first positions, sorted, give the next level.
     """
-    rows = d.delta
-    wide = _PASS_READS // len(rows)
+    if delta is None:
+        delta = d.delta
+    # The successor of q on letter j is flat[j n - 1 + q], a Python int.
+    flat = memoryview(d.delta.ravel())
+    bases = range(-1, d.delta.size - 1, d.n)
+    wide = _PASS_READS // len(bases)
     seen = bytearray(d.n + 1)
     seen[d.start] = True
     order, pieces = [d.start], []
@@ -200,15 +303,13 @@ def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
                 end = len(order)
                 if end - i > wide:
                     break
-            for row in rows:
-                r = row[q - 1]
+            for base in bases:
+                r = flat[base + q]
                 if not seen[r]:
                     seen[r] = True
                     order.append(r)
         else:
             break
-        if delta is None:
-            delta = np.array(rows, dtype=np.int64)
         mask = np.frombuffer(seen, dtype=bool)
         level = np.array(order[i:])
         while True:
@@ -223,11 +324,11 @@ def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
     return pieces
 
 
-# Keys are int64 and stay below this.  A sort of n keys below a bound b
-# packs each with its position, key << bits | position where bits =
-# n.bit_length(), if b << bits does not pass this either, and is a stable
-# argsort if it does.  The choice is made from the bound, never from the
-# largest key seen.
+# Keys are integers, widened to int64 to pack, and stay below this.  A
+# sort of n keys below a bound b packs each with its position, key << bits
+# | position where bits = n.bit_length(), if b << bits does not pass this
+# either, and is a stable argsort if it does.  The choice is made from the
+# bound, never from the largest key seen.
 _KEY_LIMIT = 2**63
 
 
@@ -236,7 +337,7 @@ def _sorted_runs(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     # and a mask of the places in that order where a new key starts.
     bits = key.size.bit_length()
     if bound <= _KEY_LIMIT >> bits:
-        ranked = key << bits
+        ranked = np.left_shift(key, bits, dtype=np.int64)
         ranked |= np.arange(key.size)
         ranked.sort()
         order = ranked & ((1 << bits) - 1)
@@ -303,13 +404,12 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     the ids in cls, and a scatter of 0..ncls-1 to cls[reps] renumbers
     the classes in that order.
     """
-    delta = np.array(d.delta, dtype=np.int64)
-    states = np.concatenate(_reachable(d, delta))
+    states = np.concatenate(_reachable(d))
     pos = np.zeros(d.n + 1, dtype=np.int64)
     pos[states] = np.arange(len(states))
-    succ = pos[delta[:, states - 1]]
+    succ = pos[d.delta[:, states - 1]]
     fin = np.zeros(d.n + 1, dtype=bool)
-    fin[list(d.finals)] = True
+    fin[d.finals.astype(np.intp)] = True  # int32 indices assign slowly
     fin = fin[states]
     cls = (fin != fin[0]).astype(np.int64)
     ncls = int(cls.max()) + 1
@@ -343,11 +443,11 @@ def minimize(d: Dfa) -> Dfa:
     Unreachable states are dropped, equivalent states merged, and the
     result is renumbered by order of first reach via lexicographically
     smallest words, so two equivalent inputs minimize to equal values.
+    The result's delta and finals are int32 arrays, read off _partition's
+    arrays at the class representatives with no Python int per state.
     """
     _, succ, fin, cls, reps = _partition(d)
-    delta = (cls[succ[:, reps]] + 1).tolist()
-    finals = (np.flatnonzero(fin[reps]) + 1).tolist()
-    return Dfa(len(reps), d.alphabet, delta, 1, finals)
+    return Dfa(len(reps), d.alphabet, cls[succ[:, reps]] + 1, 1, np.flatnonzero(fin[reps]) + 1)
 
 
 def nerode_partition(d: Dfa) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +465,7 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
         raise ValueError("alphabet mismatch")
     if d2.alphabet != d1.alphabet:
         perm = [d2.alphabet.index(a) for a in d1.alphabet]
-        d2 = Dfa(d2.n, d1.alphabet, tuple(d2.delta[i] for i in perm), d2.start, d2.finals)
+        d2 = Dfa(d2.n, d1.alphabet, d2.delta[perm], d2.start, d2.finals)
     return minimize(d1) == minimize(d2)
 
 
@@ -378,7 +478,7 @@ def _unary_chain(d: Dfa, caller: str) -> tuple[list[int], int]:
     if len(d.alphabet) != 1:
         raise ValueError(f"{caller} needs a one-letter alphabet")
     (path,) = _reachable(d)
-    return path, path.index(d.delta[0][path[-1] - 1])
+    return path, path.index(memoryview(d.delta)[0, path[-1] - 1])
 
 
 def unary_structure(d: Dfa) -> tuple[int, int, int]:
@@ -391,4 +491,4 @@ def chain_dfa(tail: int, loop: int, finals, alphabet: tuple[str, ...] = ("a",)) 
     """One-letter DFA from state 1 along a tail of `tail` states into a `loop`-cycle."""
     m = tail + loop
     row = tuple(range(2, m + 1)) + (tail + 1,)
-    return Dfa(m, alphabet, (row,), 1, frozenset(finals))
+    return Dfa(m, alphabet, (row,), 1, finals)

@@ -77,10 +77,9 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
     m = monoid if monoid is not None else transformation_monoid(d, max_elements=max_elements)
     if m.degree != d.n:
         raise ValueError(f"monoid degree {m.degree} does not match DFA size {d.n}")
-    delta = [m.right_translation(g).tolist() for g in d.delta]
+    delta = np.array([m.right_translation(g) for g in d.delta.tolist()])
     finals = np.flatnonzero(_accepting_rows(m.rows, d.start, d.finals)) + 1
-    dfa = Dfa(len(m), d.alphabet, delta, 1, finals.tolist())
-    return RootAutomaton(dfa=dfa, monoid=m)
+    return RootAutomaton(dfa=Dfa(len(m), d.alphabet, delta, 1, finals), monoid=m)
 
 
 def _accepting_rows(rows: np.ndarray, q0: int, finals) -> np.ndarray:
@@ -89,7 +88,7 @@ def _accepting_rows(rows: np.ndarray, q0: int, finals) -> np.ndarray:
     # row i sits at flat position base[i] + x, with base[i] = i*n - 1.
     m, n = rows.shape
     is_final = np.zeros(n + 1, dtype=bool)
-    is_final[list(finals)] = True
+    is_final[np.asarray(finals, dtype=np.intp)] = True  # int32 indices assign slowly
     flat = rows.ravel()
     base = np.arange(-1, m * n - 1, n)
     q = flat[base + q0]
@@ -123,7 +122,8 @@ def unary_root(d: Dfa) -> Dfa:
     """
     chain, j = _unary_chain(d, "unary_root")
     l = len(chain) - j
-    final = bytes(q in d.finals for q in chain)
+    accepting = set(d.finals.tolist())
+    final = bytes(q in accepting for q in chain)
     # gcd(l, s) divides b iff it divides gcd(l, b).
     loop = {math.gcd(l, b) for b in range(j, len(chain)) if final[b]}
     finals = {1} if final[0] else set()

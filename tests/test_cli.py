@@ -75,7 +75,7 @@ class TestRoot:
         out = tmp_path / "out.dfa"
         assert main(["root", str(p), "--minimize", "-o", str(out)]) == 0
         assert capsys.readouterr().out == "states=1\n"
-        assert parse(out.read_text()).finals == frozenset()
+        assert parse(out.read_text()).finals.tolist() == []
 
     def test_missing_file(self, capsys):
         assert main(["root", "/nonexistent/x.dfa"]) == 2
@@ -92,6 +92,13 @@ class TestRoot:
         assert main(["root", example_path, "--max-elements", "100"]) == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["2.0 1.0", "True False", "2 3", "2 1 1"])
+    def test_bad_transition_row_exits_2(self, tmp_path, capsys, row):
+        p = tmp_path / "bad.dfa"
+        p.write_text(EMPTY_LANG.replace("trans a 2 2", f"trans a {row}"))
+        assert main(["root", str(p), "--minimize"]) == 2
+        assert "line 5" in capsys.readouterr().err
+
     def test_cap_below_one_is_rejected(self, example_path, capsys):
         assert main(["root", example_path, "--max-elements", "-5"]) == 2
         err = capsys.readouterr().err
@@ -103,7 +110,7 @@ class TestUnaryRootAndMinimize:
         out = tmp_path / "r.dfa"
         assert main(["unary-root", unary_path, "-o", str(out)]) == 0
         assert capsys.readouterr().out == "states=4\n"
-        assert parse(out.read_text()).finals == {2, 3}
+        assert parse(out.read_text()).finals.tolist() == [2, 3]
 
     def test_unary_root_rejects_two_letters(self, example_path, capsys):
         assert main(["unary-root", example_path]) == 2

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -45,12 +46,25 @@ class TestParse:
         assert d.n == 5
         assert d.alphabet == ("a", "b")
         assert d.start == 1
-        assert d.finals == {1}
-        assert d.delta[0] == (2, 1, 4, 5, 3)
-        assert d.delta[1] == (2, 3, 4, 1, 2)
+        assert d.finals.tolist() == [1]
+        assert d.delta[0].tolist() == [2, 1, 4, 5, 3]
+        assert d.delta[1].tolist() == [2, 3, 4, 1, 2]
 
     def test_round_trip(self, example_dfa):
         assert parse(serialize(example_dfa)) == example_dfa
+
+    @given(small_dfas(max_states=8))
+    def test_round_trip_is_equal_with_an_equal_hash(self, d):
+        back = parse(serialize(d))
+        assert back == d and hash(back) == hash(d)
+
+    def test_round_trip_through_the_digit_matrix(self):
+        # Rows of 1..2,000 states, with 1- to 4-digit states in one row,
+        # are written by the digit matrix and read back unchanged.
+        d = replace(random_dfa(2_000, 2, seed=5), finals=range(1, 2_001, 7))
+        text = serialize(d)
+        assert parse(text) == d
+        assert text.splitlines()[3] == "finals " + " ".join(str(q) for q in range(1, 2_001, 7))
 
     def test_round_trip_ignores_comments_and_blanks(self, example_dfa):
         assert serialize(parse(EXAMPLE_DFA_TEXT)) == serialize(example_dfa)
@@ -94,7 +108,7 @@ class TestParse:
 
     def test_empty_finals_allowed(self):
         d = parse("states 1\nalphabet a\nstart 1\nfinals\ntrans a 1\n")
-        assert d.finals == frozenset()
+        assert d.finals.tolist() == []
         assert parse(serialize(d)) == d
 
 
@@ -217,7 +231,7 @@ class TestMinimize:
         d = Dfa(3, ("a",), ((2, 1, 3),), 1, frozenset({3}))
         m = minimize(d)
         assert m.n == 1
-        assert m.finals == frozenset()
+        assert m.finals.tolist() == []
 
     def test_empty_language_minimizes_to_sink(self):
         d = Dfa(4, ("a", "b"), ((2, 3, 4, 1), (3, 4, 1, 2)), 1, frozenset())
@@ -279,7 +293,7 @@ class TestReachLevels:
         # States n+1..n+extra map to themselves and are never reached.  A
         # small width constant sends the levels of a small DFA through numpy.
         n = d.n + extra
-        d = Dfa(n, d.alphabet, [row + tuple(range(d.n + 1, n + 1)) for row in d.delta], d.start, ())
+        d = Dfa(n, d.alphabet, [tuple(row) + tuple(range(d.n + 1, n + 1)) for row in d.delta], d.start, ())
         with patch.object(dfa, "_PASS_READS", reads):
             assert walk(d)[0] == bfs_order(d)
 
@@ -428,10 +442,77 @@ class TestStatesAreIntegers:
         with pytest.raises(ValueError, match="state True is not an integer"):
             Dfa(2, ("a",), ((2, True),), 1, frozenset())
 
-    def test_numpy_integers_are_stored_as_ints(self):
+    def test_numpy_integers_are_stored_as_a_read_only_int32_array(self):
         d = Dfa(np.int64(2), ("a",), (np.array([2, 1]),), np.int64(1), {np.int64(2)})
         assert d == Dfa(2, ("a",), ((2, 1),), 1, frozenset({2}))
-        assert {type(q) for q in (d.n, d.start, *d.finals, *d.delta[0])} == {int}
+        assert {type(q) for q in (d.n, d.start)} == {int}
+        assert d.delta.dtype == d.finals.dtype == np.int32
+        assert not d.delta.flags.writeable and not d.finals.flags.writeable
+
+    def test_writing_to_the_arrays_raises(self, example_dfa):
+        # The example's arrays are built from lists, and its root
+        # automaton's, of 1,857 states, from arrays.
+        for d in (example_dfa, root_automaton(example_dfa).dfa):
+            with pytest.raises(ValueError, match="read-only"):
+                d.delta[0, 0] = 3
+            with pytest.raises(ValueError, match="read-only"):
+                d.finals[0] = 3
+
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_the_callers_arrays_are_copied(self, n):
+        delta, finals = np.array([[*range(2, n + 1), 1]]), np.arange(1, n + 1)
+        d = Dfa(n, ("a",), delta, 1, finals)
+        want = Dfa(n, ("a",), delta.tolist(), 1, finals.tolist())
+        delta[0, 0], finals[0] = 1, 2
+        assert d == want
+
+    @pytest.mark.parametrize("finals", [
+        [3, 1, 3], (3, 1, 3), np.array([3, 1, 3]), np.array([3, 1, 3], np.uint8), np.tile([3, 1, 3], 30),
+    ])
+    def test_finals_come_out_sorted_and_unique(self, finals):
+        d = Dfa(3, ("a",), ((2, 3, 1),), 1, finals)
+        assert d.finals.tolist() == [1, 3]
+        assert d == Dfa(3, ("a",), ((2, 3, 1),), 1, {1, 3})
+
+    @pytest.mark.parametrize("delta, message", [
+        ([[2.0, 1.0]], r"state 2\.0 is not an integer"),
+        ([[True, False]], "state True is not an integer"),
+        ([[2, 3]], r"state 3 out of range 1\.\.2"),
+        ([[2, 0]], r"state 0 out of range 1\.\.2"),
+        ([[2, 1], [1, 2]], "need exactly one transition row per letter"),
+        ([[2, 1, 1]], "transition row for 'a' has 3 entries, expected 2"),
+    ])
+    def test_arrays_are_refused_as_lists_are(self, delta, message):
+        for given in (delta, np.array(delta)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Dfa(2, ("a",), given, 1, ())
+
+    @pytest.mark.parametrize("bad, dtype, message", [
+        (71, int, r"state 71 out of range 1\.\.70"),
+        (0, int, r"state 0 out of range 1\.\.70"),
+        (70, float, r"state 2\.0 is not an integer"),
+    ])
+    def test_big_arrays_are_refused_as_lists_are(self, bad, dtype, message):
+        # 70 states, past the size where arrays are checked by min and max.
+        row = np.array([*range(2, 71), bad], dtype)
+        for given in ([row.tolist()], row[None]):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Dfa(70, ("a",), given, 1, ())
+        for given in (row.tolist(), row):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Dfa(70, ("a",), [[*range(2, 71), 1]], 1, given)
+        with pytest.raises(ValueError, match="^need exactly one transition row per letter$"):
+            Dfa(70, ("a",), np.array([[*range(2, 71), 1]] * 2), 1, ())
+
+    @pytest.mark.parametrize("finals, message", [
+        ([2.0], r"state 2\.0 is not an integer"),
+        ([True], "state True is not an integer"),
+        ([1, 3], r"state 3 out of range 1\.\.2"),
+    ])
+    def test_final_arrays_are_refused_as_lists_are(self, finals, message):
+        for given in (finals, np.array(finals)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Dfa(2, ("a",), ((2, 1),), 1, given)
 
     def test_numpy_integer_out_of_range_names_it(self):
         with pytest.raises(ValueError, match=r"start state 3 out of range 1\.\.2"):

@@ -432,8 +432,8 @@ class TestDfaBasedOn:
         d = dfa_based_on([a, b])
         assert d.alphabet == ("a", "b")
         assert d.start == 1
-        assert d.finals == {1}
-        assert d.delta == (tuple(a), tuple(b))
+        assert d.finals.tolist() == [1]
+        assert d.delta.tolist() == [list(a), list(b)]
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

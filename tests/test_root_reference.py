@@ -107,8 +107,8 @@ def test_unreachable_states(d, extra):
     # States n+1..n+extra are never reached from the start; each maps to
     # itself on every letter and the first of them is final.
     n = d.n + extra
-    delta = tuple(row + tuple(range(d.n + 1, n + 1)) for row in d.delta)
-    check(Dfa(n, d.alphabet, delta, d.start, d.finals | {d.n + 1}))
+    delta = tuple(tuple(row) + tuple(range(d.n + 1, n + 1)) for row in d.delta)
+    check(Dfa(n, d.alphabet, delta, d.start, (*d.finals, d.n + 1)))
 
 
 @pytest.mark.parametrize("k,l", [(9, 11), (64, 67)])
