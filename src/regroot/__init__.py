@@ -1,9 +1,9 @@
 """Roots of regular languages via transformation monoids.
 
 root(L) is the set of words some positive power of which lies in L.  This
-package builds automata for root(L), computes exact state complexities by
-construction plus minimization, and ships executable suites reproducing
-the tight bounds that the transformation-monoid view yields.
+package builds automata for root(L) and computes exact state complexities
+by construction plus minimization.  The executable suites that reproduce
+the tight bounds of the transformation-monoid view are in regroot.verify.
 """
 
 from .counting import (
@@ -48,30 +48,17 @@ from .root import (
     unary_root,
 )
 from .transform import MAX_DEGREE, Transformation, cycle_pair, identity
-from .verify import (
-    Case,
-    VerifyReport,
-    suite_counting,
-    suite_full_tn,
-    suite_gap,
-    suite_lower_bound,
-    suite_min_dfa,
-    suite_start_final_variation,
-    suite_unary,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MAX_DEGREE",
-    "Case",
     "ClosureBudgetError",
     "Dfa",
     "DfaParseError",
     "RootAutomaton",
     "TransMonoid",
     "Transformation",
-    "VerifyReport",
     "accepting_transformation",
     "accepts",
     "best_coprime_pair",
@@ -92,13 +79,6 @@ __all__ = [
     "root_state_complexity",
     "serialize",
     "stirling2",
-    "suite_counting",
-    "suite_full_tn",
-    "suite_gap",
-    "suite_lower_bound",
-    "suite_min_dfa",
-    "suite_start_final_variation",
-    "suite_unary",
     "tn_generators",
     "transformation_monoid",
     "ukl_gap",

@@ -16,7 +16,6 @@ from .counting import best_coprime_pair, binomial, hk_lower_bound, stirling2, uk
 from .dfa import Dfa, minimize, parse, serialize
 from .monoid import (
     DEFAULT_MAX_ELEMENTS,
-    ClosureBudgetError,
     closure,
     largest_two_generated,
     transformation_monoid,
@@ -232,7 +231,7 @@ def main(argv=None) -> int:
     try:
         with _all_digits():
             return args.func(args)
-    except (ValueError, ClosureBudgetError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,7 +68,7 @@ class Dfa:
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
         for a in alphabet:
-            if not a or a.split() != [a]:
+            if not isinstance(a, str) or not a or a.split() != [a]:
                 raise ValueError(f"letter {a!r} is not a single token")
         delta = _state_table(delta, n, alphabet)
         start = _as_int(start, "start state")
@@ -141,14 +141,11 @@ def _state_table(delta, n: int, alphabet: tuple[str, ...]) -> np.ndarray:
 
 
 def _state_set(finals, n: int) -> np.ndarray:
-    # finals as a new read-only int32 array, sorted and without duplicates,
-    # read as _state_table reads delta.
-    if _big_array(finals, 1, n):
+    # finals as a new read-only int32 array, sorted and without duplicates.
+    # A big strictly increasing integer array is copied, and anything else
+    # is read as _state_table reads delta, then sorted and deduplicated.
+    if _big_array(finals, 1, n) and not np.count_nonzero(finals[1:] <= finals[:-1]):
         states = finals.astype(np.int32)
-        if np.count_nonzero(states[1:] <= states[:-1]):
-            mask = np.zeros(n + 1, dtype=bool)
-            mask[finals] = True
-            states = np.flatnonzero(mask).astype(np.int32)
     else:
         if isinstance(finals, np.ndarray):
             finals = finals.tolist()
@@ -274,20 +271,18 @@ def accepts(d: Dfa, w) -> bool:
 _PASS_READS = 100
 
 
-def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
+def _reachable(d: Dfa) -> list:
     """The states reachable from the start, in _partition's order, in pieces.
 
     A list holds each run of levels read one state at a time, through a
     flat memoryview of d.delta, and an array each level found by a pass
-    over delta, d.delta unless another copy of it is given.  A pass
-    gathers the level's successors, parent-major and letter-minor, drops
-    the states already seen, and keeps each other state at its first
-    occurrence.  _first_index finds those by one np.sort of each state
-    packed with its position (see _KEY_LIMIT), below (n + 1) << bits;
-    the first positions, sorted, give the next level.
+    over d.delta.  A pass gathers the level's successors, parent-major and
+    letter-minor, drops the states already seen, and keeps each other
+    state at its first occurrence.  _first_index finds those by one
+    np.sort of each state packed with its position (see _KEY_LIMIT),
+    below (n + 1) << bits; the first positions, sorted, give the next
+    level.
     """
-    if delta is None:
-        delta = d.delta
     # The successor of q on letter j is flat[j n - 1 + q], a Python int.
     flat = memoryview(d.delta.ravel())
     bases = range(-1, d.delta.size - 1, d.n)
@@ -313,7 +308,7 @@ def _reachable(d: Dfa, delta: np.ndarray | None = None) -> list:
         mask = np.frombuffer(seen, dtype=bool)
         level = np.array(order[i:])
         while True:
-            met = delta[:, level - 1].T.ravel()  # parent-major, letter-minor
+            met = d.delta[:, level - 1].T.ravel()  # parent-major, letter-minor
             met = met[~mask[met]]
             level = met[np.sort(_first_index(met, d.n + 1))]
             mask[level] = True

@@ -61,7 +61,7 @@ _DENSE_SPREAD = 2048
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-class ClosureBudgetError(RuntimeError):
+class ClosureBudgetError(ValueError):
     """Raised when a closure would exceed its element cap."""
 
 

@@ -30,6 +30,9 @@ from regroot import (
     root_automaton,
     root_member_oracle,
     stirling2,
+)
+from regroot.dfa import Dfa
+from regroot.verify import (
     suite_counting,
     suite_full_tn,
     suite_gap,
@@ -37,7 +40,6 @@ from regroot import (
     suite_min_dfa,
     suite_unary,
 )
-from regroot.dfa import Dfa
 
 
 def report(name, ok, details):

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +460,12 @@ def test_help_exits_zero(capsys):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_import_regroot_loads_neither_the_suites_nor_the_cli():
+    # A fresh interpreter, so no other test's imports count.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import regroot, sys; print(*sorted(m for m in sys.modules if m.startswith('regroot.')))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "regroot.dfa" in loaded.stdout.split()
+    assert not {"regroot.verify", "regroot.cli"} & set(loaded.stdout.split())

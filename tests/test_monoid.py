@@ -106,6 +106,10 @@ class TestClosure:
         with pytest.raises(ClosureBudgetError, match="cap of 255 elements"):
             closure(tn_generators(4), max_elements=255)
 
+    def test_budget_refusal_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^closure exceeds the cap of 255 elements$"):
+            closure(tn_generators(4), max_elements=255)
+
     def test_closed_under_sampled_products(self):
         a, b = ukl_generators(2, 3)
         m = closure([a, b])

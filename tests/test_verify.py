@@ -4,11 +4,14 @@ from unittest.mock import patch
 
 import pytest
 
-from regroot import (
+from regroot import RootAutomaton, Transformation, dfa, verify
+from regroot.dfa import chain_dfa
+from regroot.monoid import tn_generators
+from regroot.verify import (
+    SUITES,
     Case,
-    RootAutomaton,
-    Transformation,
     VerifyReport,
+    _merge_report,
     suite_counting,
     suite_full_tn,
     suite_gap,
@@ -17,10 +20,6 @@ from regroot import (
     suite_start_final_variation,
     suite_unary,
 )
-from regroot import dfa, verify
-from regroot.dfa import chain_dfa
-from regroot.monoid import tn_generators
-from regroot.verify import SUITES, _merge_report
 
 
 def case_by_name(report, name):
