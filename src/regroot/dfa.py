@@ -308,7 +308,7 @@ def _reachable(d: Dfa) -> list:
         mask = np.frombuffer(seen, dtype=bool)
         level = np.array(order[i:])
         while True:
-            met = d.delta[:, level - 1].T.ravel()  # parent-major, letter-minor
+            met = d.delta.take(level - 1, axis=1).T.ravel()  # parent-major, letter-minor
             met = met[~mask[met]]
             level = met[np.sort(_first_index(met, d.n + 1))]
             mask[level] = True
@@ -322,14 +322,18 @@ def _reachable(d: Dfa) -> list:
 # Keys are integers, widened to int64 to pack, and stay below this.  A
 # sort of n keys below a bound b packs each with its position, key << bits
 # | position where bits = n.bit_length(), if b << bits does not pass this
-# either, and is a stable argsort if it does.  The choice is made from the
+# either, and is an argsort if it does.  The choice is made from the
 # bound, never from the largest key seen.
 _KEY_LIMIT = 2**63
 
 
-def _sorted_runs(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    # The positions of key, where 0 <= key < bound, in stable sorted order,
-    # and a mask of the places in that order where a new key starts.
+def _sorted_runs(key: np.ndarray, bound: int, kind: str | None) -> tuple[np.ndarray, np.ndarray]:
+    # The positions of key, where 0 <= key < bound, in sorted order, and a
+    # mask of the places in that order where a new key starts.  A packed
+    # sort is stable; a key whose bound does not pack is sorted by argsort
+    # of this kind.  _first_index needs a stable order, since it reads the
+    # first position of each key off it, and _dense_rank any order, since
+    # equal keys get the same rank wherever they fall.
     bits = key.size.bit_length()
     if bound <= _KEY_LIMIT >> bits:
         ranked = np.left_shift(key, bits, dtype=np.int64)
@@ -338,7 +342,7 @@ def _sorted_runs(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
         order = ranked & ((1 << bits) - 1)
         ranked >>= bits
     else:
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key, kind=kind)
         ranked = key[order]
     starts = np.empty(key.size, dtype=bool)
     starts[:1] = True
@@ -349,18 +353,32 @@ def _sorted_runs(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
 def _first_index(key: np.ndarray, bound: int) -> np.ndarray:
     # np.unique(key, return_index=True)[1]: the first position of each
     # distinct key, in key order.
-    order, starts = _sorted_runs(key, bound)
+    order, starts = _sorted_runs(key, bound, "stable")
     return order[starts]
 
 
 def _dense_rank(key: np.ndarray, bound: int) -> np.ndarray:
     # np.unique(key, return_inverse=True)[1], without the fixed cost of
     # np.unique, which dominates on the tiny arrays of small DFAs.
-    order, starts = _sorted_runs(key, bound)
+    order, starts = _sorted_runs(key, bound, None)
     starts[:1] = False  # the first run is rank 0
     rank = np.empty(key.size, dtype=np.int64)
     rank[order] = starts.cumsum()
     return rank
+
+
+def _signature_classes(succ: np.ndarray, fin: np.ndarray) -> tuple[np.ndarray, int]:
+    # Moore's partition P_depth as class ids 0..ncls-1, and depth, from the
+    # rank of one packed signature per state (see _partition).  sig is
+    # freed on return, before the rounds reach their peak memory.
+    sig, width, depth = fin.astype(np.int64), 1, 0
+    packs = _KEY_LIMIT >> fin.size.bit_length()
+    while depth < fin.size - 2 and 1 << (1 + len(succ) * width) <= packs:
+        wider = fin.astype(np.int64)
+        for j, s in enumerate(succ):
+            wider |= sig[s] << (1 + j * width)
+        sig, width, depth = wider, 1 + len(succ) * width, depth + 1
+    return _dense_rank(sig, 1 << width), depth
 
 
 def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -378,41 +396,63 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     parent-major and letter-minor, less the states of levels 0..t, each
     kept at its first occurrence.  _reachable reads a level whose width,
     states times letters, is at most _PASS_READS one state at a time, and
-    a wider one with a numpy pass that builds the next level.
+    a wider one with a numpy pass that builds the next level.  Columns are
+    gathered with take(idx, axis=1), several times faster than x[:, idx]
+    on a scattered idx.
 
-    Refinement.  Moore rounds on 1-D keys: each letter in turn folds the
-    successor's class into the key, key * ncls + cls[succ[j]], which is
-    injective because cls < ncls.  A round tracks a bound on its keys,
-    and ranks them after the last letter and before a fold that would
-    take the bound past top.  A rank packs each key with its position
-    (see _KEY_LIMIT), so top is the largest bound that packs,
-    _KEY_LIMIT >> live.size.bit_length().  A fold thus stays below top
-    or below live.size * ncls, and a rank whose bound does not pack is
-    a stable argsort.  A state's new class depends only on its old class
-    and its successors' classes, so a class of one state never splits
-    again, and each round keys only the states of the other classes.
-    Folding starts from the old class, so the pieces of one class have
+    Refinement.  First a signature pass: sig[i] is an integer whose bit b
+    tells whether the b-th word of length at most depth takes states[i]
+    to a final state.  At depth 0 sig is fin, of width w = 1 bit; each
+    step sets sig to fin | sig[succ[0]] << 1 | sig[succ[1]] << (1 + w) |
+    ..., bit 0 for the empty word and a field of w bits for the words
+    after each letter in turn, so the width becomes 1 + k w for k letters.
+    The fields do not overlap because sig < 2**w, so two states have equal
+    sig exactly when every word of length at most depth leads both to
+    final states or both not: sig is Moore's partition P_depth.  The pass
+    stops before a width whose bound 2**w would not pack in one rank
+    (see _KEY_LIMIT), or at depth len(states) - 2, when P_depth is
+    already the Nerode partition: while the partition still refines,
+    each of Moore's rounds adds a class to the at most two of P_0.  One
+    rank of sig gives the classes of P_depth, with ids 0..ncls-1.
+
+    Then Moore rounds on 1-D keys from P_depth, each one level deeper,
+    until a round splits no class or depth reaches len(states) - 2.  Each
+    letter in turn folds the successor's class into the key,
+    key * ncls + cls[succ[j]], which is injective because cls < ncls.  A
+    round tracks a bound on its keys, and ranks them after the last
+    letter and before a fold that would take the bound past top.  A rank
+    packs each key with its position, so top is the largest bound that
+    packs, _KEY_LIMIT >> live.size.bit_length().  A fold thus stays below
+    top or below live.size * ncls, and a rank whose bound does not pack
+    is an argsort.  A state's new class depends only on its old class and
+    its successors' classes, so a class of one state never splits again,
+    and each round keys only the states of the other classes.  Folding
+    starts from the old class, so the pieces of one class have
     consecutive ranks.  The first piece keeps the class's id and the
     others take fresh ids from ncls up: the ids stay compact, and those
-    of the states not keyed stay valid.  A round that splits no class
-    ends the refinement.  Last, reps are the sorted first positions of
-    the ids in cls, and a scatter of 0..ncls-1 to cls[reps] renumbers
-    the classes in that order.
+    of the states not keyed stay valid.
+
+    The ids of the refinement depend on how it went, the signature pass
+    included, but the partition it ends with does not: it is the Nerode
+    partition.  Last, reps are the sorted first positions of the ids in
+    cls, and a scatter of 0..ncls-1 to cls[reps] renumbers the classes in
+    that order, which depends on the partition alone.
     """
     states = np.concatenate(_reachable(d))
     pos = np.zeros(d.n + 1, dtype=np.int64)
     pos[states] = np.arange(len(states))
-    succ = pos[d.delta[:, states - 1]]
+    succ = pos[d.delta.take(states - 1, axis=1)]
     fin = np.zeros(d.n + 1, dtype=bool)
     fin[d.finals.astype(np.intp)] = True  # int32 indices assign slowly
     fin = fin[states]
-    cls = (fin != fin[0]).astype(np.int64)
+    cls, depth = _signature_classes(succ, fin)
     ncls = int(cls.max()) + 1
     live = np.flatnonzero(np.bincount(cls)[cls] > 1)
-    while live.size:
+    while live.size and depth < len(states) - 2:
+        depth += 1
         top = _KEY_LIMIT >> live.size.bit_length()
         key, bound = cls[live], ncls
-        for s in succ[:, live]:
+        for s in succ.take(live, axis=1):
             if bound > top // ncls:
                 key, bound = _dense_rank(key, bound), live.size
             key, bound = key * ncls + cls[s], bound * ncls
@@ -442,7 +482,7 @@ def minimize(d: Dfa) -> Dfa:
     arrays at the class representatives with no Python int per state.
     """
     _, succ, fin, cls, reps = _partition(d)
-    return Dfa(len(reps), d.alphabet, cls[succ[:, reps]] + 1, 1, np.flatnonzero(fin[reps]) + 1)
+    return Dfa(len(reps), d.alphabet, cls[succ.take(reps, axis=1)] + 1, 1, np.flatnonzero(fin[reps]) + 1)
 
 
 def nerode_partition(d: Dfa) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ def same_degree_triples(draw, max_degree=7):
 def small_dfas(draw, max_states=5, max_letters=3):
     n = draw(st.integers(1, max_states))
     k = draw(st.integers(1, max_letters))
-    alphabet = tuple("abc"[:k])
+    alphabet = tuple("abcd"[:k])
     delta = tuple(
         tuple(draw(st.integers(1, n)) for _ in range(n)) for _ in range(k)
     )

@@ -124,6 +124,36 @@ def test_u23_root_automaton_past_the_packing_limit(u23_root, limit):
     assert argsorts_past_the_limit(u23_root, limit)
 
 
+def signature_width(letters, depth):
+    # The bits of the signature of words of length at most depth.
+    return sum(letters**i for i in range(depth + 1))
+
+
+@given(small_dfas(max_states=8, max_letters=4), st.integers(0, 3))
+@settings(max_examples=200)
+def test_small_dfas_from_each_signature_depth(d, depth):
+    # The key limit is patched so that the signature pass packs up to this
+    # depth and no further; it stops earlier, two short of the reachable
+    # state count, where Moore's partition is already the Nerode one.  Its
+    # rank, the first, has the bound of that depth's width.
+    reached = sum(map(len, _reachable(d)))
+    limit = 1 << signature_width(len(d.alphabet), depth) << reached.bit_length()
+    with patch.object(dfa, "_KEY_LIMIT", limit), patch.object(dfa, "_dense_rank", wraps=dfa._dense_rank) as spy:
+        check(d)
+    ran = min(depth, max(reached - 2, 0))
+    assert spy.call_args_list[0].args[1] == 1 << signature_width(len(d.alphabet), ran)
+
+
+def test_chain_is_split_by_the_signature_pass_alone():
+    # The pass reaches depth 48 on 50 states, where the distance to the
+    # final state tells every state apart, so its rank is the only one.
+    d = chain_dfa(0, 50, {50})
+    with patch.object(dfa, "_dense_rank", wraps=dfa._dense_rank) as spy:
+        assert minimize(d).n == 50
+    assert spy.call_count == 1
+    check(d)
+
+
 def test_deep_walk_above_the_threshold():
     d = counter_dfa(1_200, 5)
     check(d)
