@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .counting import best_coprime_pair, binomial, hk_lower_bound, stirling2, ukl_size_formula
+from .counting import _ukl_terms, best_coprime_pair, binomial, hk_lower_bound, stirling2, ukl_size_formula
 from .dfa import Dfa, minimize, parse, serialize
 from .monoid import (
     DEFAULT_MAX_ELEMENTS,
@@ -80,11 +80,13 @@ def cmd_ukl(args) -> int:
                     f"--enumerate is refused: the formula gives {formula} elements, "
                     f"past the closure cap of {DEFAULT_MAX_ELEMENTS}"
                 )
-            size = len(closure(ukl_generators(args.k, args.l)))
-            payload.update(closure=size, agree=size == formula)
-            lines += [f"closure={size}", "AGREE" if size == formula else "DISAGREE"]
+            m = closure(ukl_generators(args.k, args.l))
+            agree, ranks_agree = len(m) == formula, m.rank_histogram() == _ukl_terms(args.k, args.l)
+            payload.update(closure=len(m), agree=agree, ranks_agree=ranks_agree)
+            lines += [f"closure={len(m)}", "AGREE" if agree else "DISAGREE"]
+            lines.append(f"ranks={'AGREE' if ranks_agree else 'DISAGREE'}")
     print(json.dumps(payload) if args.json else "\n".join(lines))
-    return 0 if payload.get("agree", True) else 1
+    return 0 if payload.get("agree", True) and payload.get("ranks_agree", True) else 1
 
 
 def cmd_stirling(args) -> int:

@@ -59,28 +59,48 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _ukl_size_raw(k: int, l: int) -> int:
-    # Closed form for the size of the two-generated near-full monoid:
-    #   kl + sum_i (C(n,i) - C(k,i-l)) (S(n,i) - sum_r S(k,r) S(l,i-r)) i!
-    # Evaluated for any k, l >= 1 with k + l <= UKL_MAX_N on whole Stirling
-    # rows; an n past the bound is refused before any row is built.  The
-    # convolution term for i is the dot product of S(k, r) over
-    # lo <= r <= hi with S(l, i - r), read from the reversed row l.
+def _ukl_terms(k: int, l: int) -> dict[int, int]:
+    # The closed form for the two-generated near-full monoid, rank by rank:
+    # the maps of rank i number
+    #   (C(n,i) - C(k,i-l)) (S(n,i) - c_i) i!,  c_i = sum_r S(k,r) S(l,i-r),
+    # and the kl powers of the double cycle add to rank n.  Evaluated for
+    # any k, l >= 1 with k + l <= UKL_MAX_N on whole Stirling rows; an n
+    # past the bound is refused before any row is built.  C(n,i) i! is
+    # the falling factorial n (n-1) ... (n-i+1).
+    #
+    # Every c_i comes from one big-integer product (Kronecker
+    # substitution).  Row k is packed into one int, little-endian, with
+    # S(k, r) in slot r of b bytes, and row l the same way; slot i of their
+    # product is then c_i.  No carry crosses a slot: c_i is a sum of at
+    # most min(k, l) + 1 non-negative products, each below
+    # 2**(bits of max row k + bits of max row l), so c_i < 2**(w - 1) for
+    # the w below, and a slot holds 8 b >= w bits.  Whole bytes make the
+    # packing and the reading of slots byte copies, linear in the product's
+    # size, where a shift per slot would copy the whole product each time.
     n = k + l
     if n > UKL_MAX_N:
         raise ValueError(f"the size formula is evaluated up to n = k + l = {UKL_MAX_N}, got n = {n}")
     row_n = _stirling_row(n)
-    row_k = _stirling_row(k)
-    rev_l = _stirling_row(l)[::-1]  # rev_l[l - s] = S(l, s)
-    total = k * l
-    factorial = 1
+    row_k, row_l = _stirling_row(k), _stirling_row(l)
+    w = max(row_k).bit_length() + max(row_l).bit_length() + (min(k, l) + 1).bit_length() + 1
+    b = -(-w // 8)
+    packed_k = int.from_bytes(b"".join([s.to_bytes(b, "little") for s in row_k]), "little")
+    packed_l = int.from_bytes(b"".join([s.to_bytes(b, "little") for s in row_l]), "little")
+    conv = (packed_k * packed_l).to_bytes((n + 1) * b, "little")
+    terms = {}
+    falling = factorial = 1
     for i in range(1, n + 1):
+        falling *= n + 1 - i
         factorial *= i
-        lo, hi = max(1, i - l), min(k, i - 1)
-        inner = row_n[i] - sum(map(mul, row_k[lo : hi + 1], rev_l[l - i + lo : l - i + hi + 1]))
-        outer = math.comb(n, i) - (math.comb(k, i - l) if i >= l else 0)
-        total += outer * inner * factorial
-    return total
+        outer = falling - math.comb(k, i - l) * factorial if i >= l else falling
+        terms[i] = outer * (row_n[i] - int.from_bytes(conv[i * b : i * b + b], "little"))
+    terms[n] += k * l
+    return terms
+
+
+def _ukl_size_raw(k: int, l: int) -> int:
+    # |U_{k,l}|, the sum of _ukl_terms, for any k, l >= 1 with k + l <= UKL_MAX_N.
+    return sum(_ukl_terms(k, l).values())
 
 
 def _check_kl(k: int, l: int) -> tuple[int, int]:
@@ -136,15 +156,16 @@ def hk_lower_bound(n: int) -> float:
 
 
 # The largest n = k + l at which the U_{k,l} formula is evaluated: its rows
-# and convolution take O(n^2) steps on integers of up to thousands of
-# digits, about 0.1 s at n = 400 from an empty row cache on a 2-core box
-# (0.3 s at n = 600, about 35 s at n = 1,999).
+# take O(n^2) steps on integers of up to thousands of digits, and the
+# formula one product of two packed rows and O(n) steps, about 0.04 s at
+# n = 400 from an empty row cache on a 2-core box (0.13 s at n = 600,
+# about 7 s at n = 1,999).
 UKL_MAX_N = 400
 
 # The largest n whose splits are searched: the search evaluates the formula
-# at up to n - 4 splits, each in O(n^2) big-integer steps, and takes
-# 0.3-0.4 s at n = 200 (2 s at n = 320) on a 2-core box.  It covers every
-# n that hk_lower_bound serves.
+# at up to n - 4 splits, and takes 0.2-0.35 s at n = 200 (1.5-2 s at
+# n = 320) on a 2-core box, most of it in the products of packed rows of
+# the splits near k = l.  It covers every n that hk_lower_bound serves.
 BEST_SPLIT_MAX_N = 200
 
 

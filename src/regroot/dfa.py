@@ -413,7 +413,9 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     (see _KEY_LIMIT), or at depth len(states) - 2, when P_depth is
     already the Nerode partition: while the partition still refines,
     each of Moore's rounds adds a class to the at most two of P_0.  One
-    rank of sig gives the classes of P_depth, with ids 0..ncls-1.
+    rank of sig gives the classes of P_depth, with ids 0..ncls-1.  A
+    P_depth of one class is already the Nerode partition: P_0 then has one
+    class too, every state final or none, and no round splits it.
 
     Then Moore rounds on 1-D keys from P_depth, each one level deeper,
     until a round splits no class or depth reaches len(states) - 2.  Each
@@ -448,7 +450,7 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     cls, depth = _signature_classes(succ, fin)
     ncls = int(cls.max()) + 1
     live = np.flatnonzero(np.bincount(cls)[cls] > 1)
-    while live.size and depth < len(states) - 2:
+    while ncls > 1 and live.size and depth < len(states) - 2:
         depth += 1
         top = _KEY_LIMIT >> live.size.bit_length()
         key, bound = cls[live], ncls

@@ -21,6 +21,7 @@ import numpy as np
 from .counting import (
     HK_MAX_N,
     _check_kl,
+    _ukl_terms,
     best_coprime_pair,
     binomial,
     hk_lower_bound,
@@ -127,10 +128,17 @@ _budget_gap = partial(_check_range, "gap suite", "max_n", lo=7, hi=100)
 _budget_lower_bound = partial(_check_range, "lower-bound suite", "max_n", lo=7, hi=HK_MAX_N)
 
 
-def _merge_report(suite: str, params: dict, gens, size: int) -> VerifyReport:
+def _rank_profile(rec: _Recorder, name: str, m, ranks: dict[int, int]) -> None:
+    # The elements of m of each rank against the expected counts.
+    measured = m.rank_histogram()
+    rec.add(name, measured == ranks, ranks, measured)
+
+
+def _merge_report(suite: str, params: dict, gens, ranks: dict[int, int]) -> VerifyReport:
     """Minimal root automaton of M = <gens>: |M| - C(n,2) states, and which merge.
 
-    size is the expected |M| and n the degree of gens.  One closure, one
+    ranks is the expected count of M's elements of each rank, so that their
+    sum is the expected |M|, and n is the degree of gens.  One closure, one
     root construction and one Nerode refinement give every case; the
     number of classes is the size of the minimal DFA.  Exactly C(n,2)
     two-element classes must appear, each consisting of a rank-2 map whose
@@ -139,7 +147,9 @@ def _merge_report(suite: str, params: dict, gens, size: int) -> VerifyReport:
     """
     rec = _Recorder()
     m = closure(gens)
+    size = sum(ranks.values())
     rec.add("monoid-size-vs-formula", len(m) == size, size, len(m))
+    _rank_profile(rec, "rank-profile-vs-formula", m, ranks)
 
     ra = root_automaton(dfa_based_on(gens), monoid=m)
     states, cls = nerode_partition(ra.dfa)
@@ -175,15 +185,19 @@ def _merge_report(suite: str, params: dict, gens, size: int) -> VerifyReport:
 
 
 def suite_min_dfa(k: int, l: int) -> VerifyReport:
-    """The merge report of U_{k,l}, whose size is ukl_size_formula(k, l)."""
+    """The merge report of U_{k,l}, whose ranks are counted by _ukl_terms(k, l)."""
     _budget_min_dfa(k, l)
-    return _merge_report("min-dfa", {"k": k, "l": l}, ukl_generators(k, l), ukl_size_formula(k, l))
+    return _merge_report("min-dfa", {"k": k, "l": l}, ukl_generators(k, l), _ukl_terms(k, l))
 
 
 def suite_full_tn(n: int) -> VerifyReport:
-    """Tightness of the n^n - C(n,2) bound: the merge report of T_n's generators."""
+    """Tightness of the n^n - C(n,2) bound: the merge report of T_n's generators.
+
+    T_n has C(n,r) r! S(n,r) maps of rank r, n^n in all.
+    """
     n = _budget_full_tn(n)
-    return _merge_report("full-tn", {"n": n}, tn_generators(n), n**n)
+    ranks = {r: binomial(n, r) * math.factorial(r) * stirling2(n, r) for r in range(1, n + 1)}
+    return _merge_report("full-tn", {"n": n}, tn_generators(n), ranks)
 
 
 def suite_start_final_variation(k: int, l: int) -> VerifyReport:
@@ -262,10 +276,13 @@ def _set_partition_count(n: int, k: int) -> int:
 
 
 def _formula_vs_enumeration(rec: _Recorder, k: int, l: int) -> int:
-    size = len(closure(ukl_generators(k, l)))
-    formula = ukl_size_formula(k, l)
-    rec.add(f"formula-vs-enumeration-({k},{l})", size == formula, formula, size)
-    return size
+    # |U_{k,l}| and its elements of each rank, by closure against the formula.
+    m = closure(ukl_generators(k, l))
+    ranks = _ukl_terms(k, l)
+    formula = sum(ranks.values())
+    rec.add(f"formula-vs-enumeration-({k},{l})", len(m) == formula, formula, len(m))
+    _rank_profile(rec, f"rank-profile-vs-formula-({k},{l})", m, ranks)
+    return len(m)
 
 
 def suite_counting() -> VerifyReport:

@@ -24,7 +24,7 @@ from regroot import (
 )
 from regroot import cli
 from regroot.cli import main
-from regroot.counting import BEST_SPLIT_MAX_N, UKL_MAX_N
+from regroot.counting import BEST_SPLIT_MAX_N, UKL_MAX_N, _ukl_terms
 from regroot.monoid import DEFAULT_MAX_ELEMENTS
 
 from conftest import EXAMPLE_DFA_TEXT
@@ -149,7 +149,7 @@ class TestUkl:
     def test_formula_and_enumeration_agree(self, capsys):
         assert main(["ukl", "-k", "2", "-l", "3", "--enumerate"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out == ["formula=1857", "closure=1857", "AGREE"]
+        assert out == ["formula=1857", "closure=1857", "AGREE", "ranks=AGREE"]
 
     def test_json_mode(self, capsys):
         assert main(["ukl", "-k", "2", "-l", "3", "--json"]) == 0
@@ -159,7 +159,7 @@ class TestUkl:
     @pytest.mark.parametrize("argv, line", [
         (["-k", "3", "-l", "4"], '{"k": 3, "l": 4, "formula": 607285}'),
         (["-k", "2", "-l", "3", "--enumerate"],
-         '{"k": 2, "l": 3, "formula": 1857, "closure": 1857, "agree": true}'),
+         '{"k": 2, "l": 3, "formula": 1857, "closure": 1857, "agree": true, "ranks_agree": true}'),
         (["-n", "7"], '{"n": 7, "k": 2, "l": 5, "formula": 610871, "predicted_root_states": 610850}'),
     ])
     def test_json_lines(self, argv, line, capsys):
@@ -220,10 +220,24 @@ class TestUkl:
         full = cli.closure
         monkeypatch.setattr(cli, "closure", lambda gens: full(gens[:1]))
         assert main(["ukl", "-k", "2", "-l", "3", "--enumerate"]) == 1
-        assert capsys.readouterr().out == "formula=1857\nclosure=6\nDISAGREE\n"
+        assert capsys.readouterr().out == "formula=1857\nclosure=6\nDISAGREE\nranks=DISAGREE\n"
         assert main(["ukl", "-k", "2", "-l", "3", "--enumerate", "--json"]) == 1
         assert capsys.readouterr().out == (
-            '{"k": 2, "l": 3, "formula": 1857, "closure": 6, "agree": false}\n'
+            '{"k": 2, "l": 3, "formula": 1857, "closure": 6, "agree": false, "ranks_agree": false}\n'
+        )
+
+    def test_enumeration_that_disagrees_only_by_rank_fails(self, monkeypatch, capsys):
+        # One constant map counted at rank 2: the size still agrees.
+        def moved(k, l):
+            ranks = _ukl_terms(k, l)
+            return {**ranks, 1: ranks[1] - 1, 2: ranks[2] + 1}
+
+        monkeypatch.setattr(cli, "_ukl_terms", moved)
+        assert main(["ukl", "-k", "2", "-l", "3", "--enumerate"]) == 1
+        assert capsys.readouterr().out == "formula=1857\nclosure=1857\nAGREE\nranks=DISAGREE\n"
+        assert main(["ukl", "-k", "2", "-l", "3", "--enumerate", "--json"]) == 1
+        assert capsys.readouterr().out == (
+            '{"k": 2, "l": 3, "formula": 1857, "closure": 1857, "agree": true, "ranks_agree": false}\n'
         )
 
     @pytest.mark.parametrize("k, l", [(3, 5), (4, 9)])
@@ -243,7 +257,7 @@ class TestUkl:
     def test_enumeration_under_the_cap_still_runs(self, capsys):
         assert ukl_size_formula(2, 5) == 610_871 <= DEFAULT_MAX_ELEMENTS
         assert main(["ukl", "-k", "2", "-l", "5", "--enumerate"]) == 0
-        assert capsys.readouterr().out == "formula=610871\nclosure=610871\nAGREE\n"
+        assert capsys.readouterr().out == "formula=610871\nclosure=610871\nAGREE\nranks=AGREE\n"
 
 
 class TestScalars:
@@ -417,7 +431,7 @@ class TestVerify:
         assert main(["verify", "--suite", "counting"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("suite counting\n")
-        assert "=> PASS (5/5 cases)" in out
+        assert "=> PASS (6/6 cases)" in out
 
     @pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "5"], 5)])
     def test_unary_reads_the_seed(self, argv, seed, capsys):

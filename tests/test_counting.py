@@ -36,17 +36,23 @@ def partitions_into_blocks(items, k):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
 
 
-def ukl_size_by_terms(k, l):
-    """The closed form for |U_{k,l}| term by term, one stirling2 call per product."""
+def ukl_terms_by_terms(k, l):
+    """The closed form for U_{k,l}'s maps of each rank, one stirling2 call per product."""
     n = k + l
-    total = k * l
+    terms = {}
     for i in range(1, n + 1):
         outer = binomial(n, i) - binomial(k, i - l)
         inner = stirling2(n, i) - sum(
             stirling2(k, r) * stirling2(l, i - r) for r in range(1, i + 1)
         )
-        total += outer * inner * math.factorial(i)
-    return total
+        terms[i] = outer * inner * math.factorial(i)
+    terms[n] += k * l
+    return terms
+
+
+def ukl_size_by_terms(k, l):
+    """The closed form for |U_{k,l}| term by term."""
+    return sum(ukl_terms_by_terms(k, l).values())
 
 
 COPRIME_TO_40 = [
@@ -183,6 +189,21 @@ class TestRowForm:
     def test_gap_to_a_hundred(self):
         for n in range(5, 101):
             assert ukl_gap(n) == ukl_size_by_terms(2, n - 2) - ukl_size_by_terms(n - 2, 2), n
+
+    def test_each_rank_for_every_pair_to_forty(self):
+        # Pairs that are not coprime included, as ukl_gap reads those too.
+        for n in range(2, 41):
+            for k in range(1, n):
+                assert counting._ukl_terms(k, n - k) == ukl_terms_by_terms(k, n - k), (k, n - k)
+
+    @pytest.mark.parametrize("k, l", [(2, 398), (398, 2), (199, 201)])
+    def test_each_rank_at_the_bound(self, k, l):
+        assert k + l == UKL_MAX_N
+        assert counting._ukl_terms(k, l) == ukl_terms_by_terms(k, l)
+
+    @pytest.mark.parametrize("k, l", [(2, 3), (3, 2), (3, 4), (4, 3)])
+    def test_each_rank_against_enumeration(self, k, l):
+        assert counting._ukl_terms(k, l) == closure(ukl_generators(k, l)).rank_histogram()
 
     def test_table_to_forty_is_pinned(self):
         table = "".join(f"{k} {l} {ukl_size_formula(k, l)}\n" for k, l in COPRIME_TO_40)

@@ -240,6 +240,18 @@ class TestMinimize:
         d = Dfa(4, ("a", "b"), ((2, 3, 4, 1), (3, 4, 1, 2)), 1, frozenset())
         assert minimize(d).n == 1
 
+    @pytest.mark.parametrize("final", [True, False])
+    def test_one_class_ends_the_refinement_after_the_signature_pass(self, final):
+        # Every state final, or none: P_0 is the Nerode partition, so the
+        # signature pass makes the only rank and no round keys a state.
+        d = random_dfa(2 * dfa._FEW, 2, seed=5)
+        d = replace(d, finals=range(1, d.n + 1) if final else ())
+        assert sum(map(len, _reachable(d))) >= dfa._FEW
+        with patch.object(dfa, "_dense_rank", wraps=dfa._dense_rank) as spy:
+            m = minimize(d)
+        assert m.n == 1 and m.finals.tolist() == ([1] if final else [])
+        assert spy.call_count == 1
+
     @given(small_dfas())
     @settings(max_examples=60)
     def test_minimization_preserves_language(self, d):

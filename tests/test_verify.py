@@ -5,6 +5,7 @@ from unittest.mock import patch
 import pytest
 
 from regroot import RootAutomaton, Transformation, dfa, verify
+from regroot.counting import _ukl_terms
 from regroot.dfa import chain_dfa
 from regroot.monoid import tn_generators
 from regroot.verify import (
@@ -81,10 +82,12 @@ class TestMinDfa:
             "monoid-size-vs-formula",
             "no-larger-classes",
             "pair-shape",
+            "rank-profile-vs-formula",
             "root-state-complexity",
             "two-element-classes",
         ]
         assert case_by_name(r, "monoid-size-vs-formula").expected == "1857"
+        assert case_by_name(r, "rank-profile-vs-formula").expected == "{1: 5, 2: 280, 3: 1134, 4: 432, 5: 6}"
         assert case_by_name(r, "root-state-complexity").measured == "1847"
 
     @pytest.mark.parametrize(
@@ -101,7 +104,14 @@ class TestMinDfa:
 class TestMergeReport:
     # Two-generated monoids larger than any U_{k,l} of their degree: at
     # degree 5 those are U_{2,3} (1,857) and U_{3,2} (1,433), and degree 6
-    # has no coprime split with both cycles of length at least 2.
+    # has no coprime split with both cycles of length at least 2.  Their
+    # elements of each rank, counted once by closure.
+    RANKS = {
+        ((4, 3, 1, 4, 2), (5, 3, 4, 1, 2)): {1: 5, 2: 300, 3: 1200, 4: 600, 5: 5},
+        ((1, 1, 2, 3, 4), (2, 3, 5, 1, 4)): {1: 5, 2: 300, 3: 1200, 4: 600, 5: 5},
+        ((2, 4, 6, 5, 3, 1), (6, 2, 5, 6, 1, 4)): {1: 6, 2: 930, 3: 10080, 4: 16920, 5: 4320, 6: 6},
+    }
+
     @pytest.mark.parametrize(
         "gens,size,states,pairs",
         [
@@ -111,18 +121,26 @@ class TestMergeReport:
         ],
     )
     def test_other_generator_sets(self, gens, size, states, pairs):
-        r = _merge_report("pair", {}, [Transformation(g) for g in gens], size)
+        ranks = self.RANKS[gens]
+        assert sum(ranks.values()) == size
+        r = _merge_report("pair", {}, [Transformation(g) for g in gens], ranks)
         assert r.passed
-        assert len(r.cases) == 6
+        assert len(r.cases) == 7
         assert case_by_name(r, "monoid-size-vs-formula").measured == str(size)
         assert case_by_name(r, "root-state-complexity").measured == str(states)
         assert case_by_name(r, "two-element-classes").measured == str(pairs)
 
     def test_a_wrong_size_fails_the_two_size_cases(self):
-        r = _merge_report("full-tn", {"n": 3}, tn_generators(3), 28)
+        # One map too many at rank 3 also fails the rank profile.
+        r = _merge_report("full-tn", {"n": 3}, tn_generators(3), {1: 3, 2: 18, 3: 7})
         failed = [c.name for c in r.cases if not c.passed]
-        assert failed == ["monoid-size-vs-formula", "root-state-complexity"]
+        assert failed == ["monoid-size-vs-formula", "rank-profile-vs-formula", "root-state-complexity"]
         assert case_by_name(r, "root-state-complexity").expected == "25"
+
+    def test_a_wrong_rank_profile_of_the_right_size_fails_only_that_case(self):
+        r = _merge_report("full-tn", {"n": 3}, tn_generators(3), {1: 4, 2: 17, 3: 6})
+        assert [c.name for c in r.cases if not c.passed] == ["rank-profile-vs-formula"]
+        assert case_by_name(r, "rank-profile-vs-formula").measured == "{1: 3, 2: 18, 3: 6}"
 
 
 class TestFullTn:
@@ -135,6 +153,7 @@ class TestFullTn:
             "monoid-size-vs-formula",
             "no-larger-classes",
             "pair-shape",
+            "rank-profile-vs-formula",
             "root-state-complexity",
             "two-element-classes",
         ]
@@ -225,6 +244,21 @@ class TestCountingSuites:
         assert case_by_name(r, "enumeration-crosscheck-n=7").expected == "218074"
         assert case_by_name(r, "formula-vs-enumeration-(2,5)").measured == "610871"
         assert case_by_name(r, "formula-vs-enumeration-(5,2)").measured == "392797"
+        assert case_by_name(r, "rank-profile-vs-formula-(2,5)").passed
+        assert case_by_name(r, "rank-profile-vs-formula-(5,2)").passed
+
+    def test_a_wrong_rank_count_fails_only_the_rank_cases(self, monkeypatch):
+        # A constant map counted at rank 2 leaves every size unchanged.
+        def moved(k, l):
+            ranks = _ukl_terms(k, l)
+            return {**ranks, 1: ranks[1] - 1, 2: ranks[2] + 1}
+
+        monkeypatch.setattr(verify, "_ukl_terms", moved)
+        r = suite_gap(10)
+        assert [c.name for c in r.cases if not c.passed] == [
+            "rank-profile-vs-formula-(2,5)",
+            "rank-profile-vs-formula-(5,2)",
+        ]
 
     def test_lower_bound_reduced_budget(self):
         r = suite_lower_bound(12)
@@ -249,6 +283,7 @@ def test_counting_suite_passes():
     assert [n for n in names if n.startswith("formula-vs-enumeration")] == [
         "formula-vs-enumeration-(3,2)"
     ]
+    assert [n for n in names if n.startswith("rank-profile")] == ["rank-profile-vs-formula-(3,2)"]
 
 
 def test_every_default_run_is_within_its_budget():
