@@ -496,13 +496,105 @@ def nerode_partition(d: Dfa) -> tuple[np.ndarray, np.ndarray]:
     return states, cls
 
 
+def _distinguishing_word(d1: Dfa, d2: Dfa) -> tuple[str, ...] | None:
+    """A shortest word that exactly one of d1 and d2 accepts, or None.
+
+    Hopcroft and Karp's test ("A linear algorithm for testing equivalence
+    of finite automata", 1971), for two DFAs whose alphabets are equal in
+    order.  A union-find over the disjoint union of the states, d1's as
+    1..n1 and d2's as n1 + 1..n1 + n2, starts with every state alone.
+    Pairs (p, q) are walked breadth first from the two starts; each letter
+    leads to a pair of successors, and one whose classes differ has its
+    classes merged and is walked in turn.  Every merge checks that the
+    two states agree on acceptance, so each class is all final or all not,
+    and the walk stops at the first merge that disagrees.  With no such
+    merge, the classes are stable under every letter and hold the starts
+    together: the languages are equal.
+
+    The walk is breadth first, so the word it finds is a shortest one.  A
+    pair it skips at depth t is joined by a chain of merged pairs of depth
+    at most t, and a word that tells the skipped pair apart tells some
+    pair of the chain apart, so a skip never hides a shorter word.  Each
+    merged pair keeps the pair and the letter it came from, which spell
+    the word back to the starts.
+    """
+    n1 = d1.n
+    succ = [[0, *r1, *r2] for r1, r2 in zip(d1.delta.tolist(), (d2.delta + n1).tolist())]
+    fin = bytearray(n1 + d2.n + 1)
+    for q in d1.finals.tolist():
+        fin[q] = 1
+    for q in (d2.finals + n1).tolist():
+        fin[q] = 1
+    p, q = d1.start, n1 + d2.start
+    if fin[p] != fin[q]:
+        return ()
+    parent = list(range(len(fin)))
+    parent[q] = p
+    pairs, came_from = [(p, q)], [None]
+    for i, (p, q) in enumerate(pairs):  # pairs grows as the walk goes
+        for j, row in enumerate(succ):
+            r, s = row[p], row[q]
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]  # path halving
+            while parent[s] != s:
+                parent[s] = s = parent[parent[s]]
+            if r == s:
+                continue
+            if fin[r] != fin[s]:
+                word = [j]
+                while came_from[i] is not None:
+                    i, j = came_from[i]
+                    word.append(j)
+                return tuple(d1.alphabet[j] for j in reversed(word))
+            parent[s] = r
+            pairs.append((row[p], row[q]))
+            came_from.append((i, j))
+    return None
+
+
+# equivalent decides by _distinguishing_word while the pair has at most
+# this many transitions, (n1 + n2) * letters, and by comparing the two
+# minimal forms above it.  Measured on a random DFA against a relabelled
+# copy, so that the walk is full, median of 4 seeds, 2-core x86-64 box:
+#
+#   letters  transitions  minimize comparison  union-find walk
+#   1            4,096          4.3 ms             2.1 ms
+#   1           32,768         26.2 ms            28.5 ms
+#   2            2,048          840 us             435 us
+#   2            4,096          705 us             632 us
+#   2            5,120          782 us             832 us
+#   2            8,192        1,172 us           1,610 us
+#   3            3,072          618 us             514 us
+#   3            4,608          656 us             792 us
+#   3            9,216        1,566 us           2,467 us
+#
+# The walk wins up to about 4,500 transitions with two or three letters.
+# With one letter the minimize comparison walks a long chain one state at
+# a time, and the walk wins up to about 25,000; one limit in transitions
+# keeps the rule simple at the cost of that range.
+_WALK_LIMIT = 4_096
+
+
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality, via comparison of canonical minimal forms."""
+    """Language equality of two DFAs over the same letters, in any order.
+
+    Two paths, chosen by size.  A pair of at most 4,096 transitions, (n1 +
+    n2) times the number of letters, is decided by Hopcroft and Karp's
+    union-find walk, which stops at the first pair of states that disagree
+    on acceptance.  A larger pair is decided by comparing the canonical
+    minimal forms, whose refinement runs on arrays and is the faster one
+    there.  Anything but two Dfas, or two alphabets that are not the same
+    set of letters, is a ValueError.
+    """
+    if not isinstance(d1, Dfa) or not isinstance(d2, Dfa):
+        raise ValueError("equivalent compares two Dfa values")
     if set(d1.alphabet) != set(d2.alphabet):
         raise ValueError("alphabet mismatch")
     if d2.alphabet != d1.alphabet:
         perm = [d2.alphabet.index(a) for a in d1.alphabet]
         d2 = Dfa(d2.n, d1.alphabet, d2.delta[perm], d2.start, d2.finals)
+    if (d1.n + d2.n) * len(d1.alphabet) <= _WALK_LIMIT:
+        return _distinguishing_word(d1, d2) is None
     return minimize(d1) == minimize(d2)
 
 

@@ -29,7 +29,7 @@ from .counting import (
     ukl_gap,
     ukl_size_formula,
 )
-from .dfa import Dfa, chain_dfa, minimize, nerode_partition
+from .dfa import Dfa, _distinguishing_word, chain_dfa, minimize, nerode_partition
 from .monoid import closure, dfa_based_on, tn_generators, ukl_generators
 from .root import _accepting_rows, root_automaton, unary_root
 from .transform import _as_int
@@ -224,11 +224,17 @@ def suite_start_final_variation(k: int, l: int) -> VerifyReport:
     return rec.report("start-final-variation", {"k": k, "l": l})
 
 
-def _unary_case(d: Dfa) -> tuple[int, int, bool]:
+def _unary_case(d: Dfa) -> tuple[int, int, str | None]:
     # The state complexity of d, that of its root by divisor marking, and
-    # whether the generic monoid construction gives the same minimal DFA.
+    # None if the generic monoid construction gives the same language, or
+    # else a shortest word on which the two differ.
     root = minimize(unary_root(d))
-    return minimize(d).n, root.n, root == minimize(root_automaton(d).dfa)
+    word = _distinguishing_word(root, root_automaton(d).dfa)
+    return minimize(d).n, root.n, None if word is None else "".join(word) or "the empty word"
+
+
+def _differs_on(word: str | None) -> str:
+    return "" if word is None else f", differs on {word}"
 
 
 def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> VerifyReport:
@@ -244,23 +250,29 @@ def suite_unary(max_n: int = 12, *, seed: int = 0, samples: int = 200) -> Verify
     seed = _as_int(seed, "seed")
     rec = _Recorder()
     for n in range(2, max_n + 1):
-        sc, root_sc, agree = _unary_case(chain_dfa(n - 1, 1, {n - 1}))  # a^(n-2), then a dead loop
+        sc, root_sc, differs = _unary_case(chain_dfa(n - 1, 1, {n - 1}))  # a^(n-2), then a dead loop
         rec.add(
             f"single-word-n={n:02d}",
-            sc == n and root_sc == n and agree,
+            sc == n and root_sc == n and differs is None,
             f"sc {n}, root sc {n}, constructions agree",
-            f"sc {sc}, root sc {root_sc}, agree {agree}",
+            f"sc {sc}, root sc {root_sc}, agree {differs is None}" + _differs_on(differs),
         )
     for n in range(2, min(max_n, 12) + 1):
         rng = random.Random(seed * 10_000 + n)
-        bad = 0
+        bad, first = 0, None
         for _ in range(samples):
             tail = rng.randrange(n)
             loop = rng.randint(1, n - tail)
             finals = {q for q in range(1, tail + loop + 1) if rng.random() < 0.5}
-            sc, root_sc, agree = _unary_case(chain_dfa(tail, loop, finals))
-            bad += not agree or root_sc > sc
-        rec.add(f"random-n={n:02d}", bad == 0, f"{samples} agreements", f"{samples - bad} agreements")
+            sc, root_sc, differs = _unary_case(chain_dfa(tail, loop, finals))
+            bad += differs is not None or root_sc > sc
+            first = first or differs
+        rec.add(
+            f"random-n={n:02d}",
+            bad == 0,
+            f"{samples} agreements",
+            f"{samples - bad} agreements" + _differs_on(first),
+        )
     return rec.report("unary", {"max_n": max_n, "seed": seed, "samples": samples})
 
 

@@ -395,6 +395,12 @@ class TestEquivalent:
         with pytest.raises(ValueError, match="alphabet mismatch"):
             equivalent(example_dfa, d)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_a_value_that_is_not_a_dfa(self, example_dfa, swap):
+        pair = ("x", example_dfa) if swap else (example_dfa, "x")
+        with pytest.raises(ValueError, match="equivalent compares two Dfa values"):
+            equivalent(*pair)
+
 
 class TestUnaryStructure:
     def test_tail_then_self_loop(self):

@@ -230,11 +230,27 @@ class TestUnary:
         assert [c.measured for c in single] == [f"sc {n}, root sc 5, agree True" for n in (2, 3, 4)]
         assert [c.measured for c in random_cases] == ["0 agreements"] * 3
 
-    def test_three_refinements_per_dfa(self):
-        # 3 single words and 3 * 10 random samples.
+    def test_a_disagreement_names_a_shortest_word(self, monkeypatch):
+        # The empty language against the roots of {}, {a} and {aa}: the
+        # root of {aa} holds a, since a a = aa.
+        monkeypatch.setattr(verify, "unary_root", lambda d: chain_dfa(0, 1, set(), d.alphabet))
+        r = suite_unary(4, samples=20)
+        single = [c.measured for c in r.cases if c.name.startswith("single-word-n=")]
+        assert single == [
+            "sc 2, root sc 1, agree False, differs on the empty word",
+            "sc 3, root sc 1, agree False, differs on a",
+            "sc 4, root sc 1, agree False, differs on a",
+        ]
+        random_cases = [c.measured for c in r.cases if c.name.startswith("random-n=")]
+        assert all(", differs on " in m for m in random_cases)
+
+    def test_two_refinements_per_dfa(self):
+        # 3 single words and 3 * 10 random samples: the language and its
+        # root by divisor marking are minimized, and the generic
+        # construction is compared by the union-find walk.
         with patch.object(dfa, "_partition", wraps=dfa._partition) as spy:
             suite_unary(4, samples=10)
-        assert spy.call_count == 3 * 33
+        assert spy.call_count == 2 * 33
 
 
 class TestCountingSuites:
