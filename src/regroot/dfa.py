@@ -23,6 +23,7 @@ minimize to the text format without a Python int per transition.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import reduce
 
@@ -154,6 +155,13 @@ def _state_set(finals, n: int) -> np.ndarray:
     return states
 
 
+# An integer of the text format: ASCII digits after at most one minus
+# sign, which parse keeps so that -1 is refused as out of range.  A line
+# of such integers, joined, holds nothing but _DECIMAL_CHARS.
+_DECIMAL = re.compile(r"-?[0-9]+")
+_DECIMAL_CHARS = re.compile(r"[-0-9]*")
+
+
 def parse(text) -> Dfa:
     """Parse the text format above into a Dfa."""
     if isinstance(text, (bytes, bytearray)):
@@ -161,16 +169,18 @@ def parse(text) -> Dfa:
     header: dict[str, list | None] = dict.fromkeys(("states", "alphabet", "start", "finals"))
     trans: dict[str, tuple[list[int], int]] = {}
 
-    def want_ints(tokens: list[str], lineno: int) -> list[int]:
-        try:
-            return list(map(int, tokens))
-        except ValueError:
-            pass
-        for token in tokens:
+    def want_ints(tokens: list[str], lineno: int, raw: str) -> list[int]:
+        # int() also takes a plus sign, underscores and non-ASCII digits, so
+        # each line is checked once: the raw line, if it holds none of them,
+        # or else its integer tokens joined.
+        if (raw.isascii() and "_" not in raw and "+" not in raw) or _DECIMAL_CHARS.fullmatch("".join(tokens)):
             try:
-                int(token)
+                return list(map(int, tokens))
             except ValueError:
-                raise DfaParseError(f"expected an integer, got {token!r}", lineno) from None
+                pass
+        for token in tokens:
+            if not _DECIMAL.fullmatch(token):
+                raise DfaParseError(f"expected an integer in ASCII digits, got {token!r}", lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         words = raw.split()
@@ -182,7 +192,7 @@ def parse(text) -> Dfa:
                 raise DfaParseError("'trans' expects a letter and successor states", lineno)
             if args[0] in trans:
                 raise DfaParseError(f"duplicate 'trans' line for letter {args[0]!r}", lineno)
-            trans[args[0]] = (want_ints(args[1:], lineno), lineno)
+            trans[args[0]] = (want_ints(args[1:], lineno, raw), lineno)
             continue
         if key not in header:
             raise DfaParseError(f"unknown keyword {key!r}", lineno)
@@ -197,7 +207,7 @@ def parse(text) -> Dfa:
                 raise DfaParseError("duplicate letter in alphabet", lineno)
             header[key] = args
         else:
-            header[key] = want_ints(args, lineno)
+            header[key] = want_ints(args, lineno, raw)
         if key == "states" and header[key][0] < 1:
             raise DfaParseError(f"state count {header[key][0]} must be positive", lineno)
 
@@ -474,15 +484,109 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     return states, succ, fin, number[cls], reps
 
 
+def _tables(*dfas: Dfa) -> tuple[list[list[int]], bytearray]:
+    # The disjoint union of dfas, over the same letters in the same order,
+    # as Python lists.  The states of each follow those of the ones before
+    # it, so the first keeps its numbers.  rows[j][q] is the successor of
+    # state q on letter j, rows[j][0] is unused, and fin[q] is 1 for a
+    # final state q and 0 for any other.
+    rows = [[0] for _ in dfas[0].alphabet]
+    fin = bytearray(1)
+    for d in dfas:
+        base = len(fin) - 1
+        for row, more in zip(rows, (d.delta + base if base else d.delta).tolist()):
+            row += more
+        fin += bytes(d.n)
+        for q in d.finals.tolist():
+            fin[base + q] = 1
+    return rows, fin
+
+
+def _minimize_few(d: Dfa) -> Dfa:
+    """minimize for a DFA of at most _LIST_LIMIT transitions, on lists.
+
+    The reachable states come from _reachable as one list, since no level
+    of a DFA of at most _PASS_READS transitions is wider than that; the
+    pieces of a larger DFA, which minimize leaves to _partition, are
+    joined.  Moore rounds start from the acceptance of each state.  A
+    round gives each state the tuple of its class and its successors'
+    classes, and numbers the distinct tuples in first-reach order.  The
+    rounds stop when one splits no class, or when every class has one
+    state.  The last numbering is then the canonical one of _partition,
+    so the result is equal to the array path's.
+    """
+    rows, fin = _tables(d)
+    order, *wide = _reachable(d)
+    if wide:
+        order += np.concatenate(wide).tolist()
+    pos = [0] * (d.n + 1)
+    for i, q in enumerate(order):
+        pos[q] = i
+    succ = [[pos[row[q]] for q in order] for row in rows]
+    cls = [fin[q] for q in order]
+    count = len(set(cls))
+    while True:
+        ids: dict[tuple, int] = {}
+        cls = [ids.setdefault(key, len(ids)) for key in zip(cls, *([cls[s] for s in row] for row in succ))]
+        if len(ids) == count or len(ids) == len(cls):
+            break
+        count = len(ids)
+    reps: list[int] = []
+    for i, c in enumerate(cls):
+        if c == len(reps):
+            reps.append(i)
+    delta = [[cls[row[i]] + 1 for i in reps] for row in succ]
+    return Dfa(len(reps), d.alphabet, delta, 1, [c + 1 for c, i in enumerate(reps) if fin[order[i]]])
+
+
+# minimize takes _minimize_few for a DFA of at most this many transitions,
+# n times letters, and _partition above it.  Moore rounds on lists cost
+# O(n^2 k) where the array path pays numpy's fixed cost per call, so the
+# crossover is lowest where the refinement is deepest.  Measured as the
+# best of 7 alternating loops, pinned to one core of a 2-core x86-64 box.
+# "cycle" is the n-cycle with one final state, on a for one letter and
+# with the other letters back to the start, which needs n - 2 rounds;
+# "random" is 50 random DFAs with random final sets:
+#
+#   letters  states  transitions  cycle list / array  random list / array
+#   1           8          8          36 /  70 us         21 /  57 us
+#   1          16         16          84 / 111 us         23 /  60 us
+#   1          24         24         139 / 129 us         29 /  67 us
+#   1          32         32         212 / 158 us         33 /  78 us
+#   1          48         48         456 / 261 us         35 /  83 us
+#   2           8         16          67 / 230 us         54 / 129 us
+#   2          16         32         105 / 408 us         43 /  90 us
+#   2          24         48         185 / 584 us         98 / 148 us
+#   2          32         64         307 / 1,158 us      110 / 168 us
+#   3           8         24          92 / 290 us         62 / 141 us
+#   3          11         33         133 / 449 us         73 / 148 us
+#   3          16         48         211 / 712 us         71 / 154 us
+#
+# The list path wins everywhere but on the deepest one-letter cycles past
+# about 24 states, where the array path's signature pass splits the whole
+# chain in one rank; 32 bounds that loss to a third.  The limit stays at
+# or below _PASS_READS, so that _reachable returns one list.  _FEW, at
+# 64, would send one-letter cycles of 33 to 64 states to the slower path.
+_LIST_LIMIT = 32
+
+
 def minimize(d: Dfa) -> Dfa:
     """Unique minimal complete DFA for the same language, in canonical form.
 
     Unreachable states are dropped, equivalent states merged, and the
     result is renumbered by order of first reach via lexicographically
     smallest words, so two equivalent inputs minimize to equal values.
-    The result's delta and finals are int32 arrays, read off _partition's
-    arrays at the class representatives with no Python int per state.
+
+    Two paths, chosen by size, give equal results.  A DFA of at most
+    _LIST_LIMIT transitions, n times the number of letters, is refined on
+    Python lists (_minimize_few), and numpy only reads its arrays and
+    builds the result's.  A larger one is refined on arrays (_partition),
+    and the result's delta and finals are read off those arrays at the
+    class representatives with no Python int per state.  The crossover
+    table is in the comment on _LIST_LIMIT.
     """
+    if d.delta.size <= _LIST_LIMIT:
+        return _minimize_few(d)
     _, succ, fin, cls, reps = _partition(d)
     return Dfa(len(reps), d.alphabet, cls[succ.take(reps, axis=1)] + 1, 1, np.flatnonzero(fin[reps]) + 1)
 
@@ -518,14 +622,8 @@ def _distinguishing_word(d1: Dfa, d2: Dfa) -> tuple[str, ...] | None:
     merged pair keeps the pair and the letter it came from, which spell
     the word back to the starts.
     """
-    n1 = d1.n
-    succ = [[0, *r1, *r2] for r1, r2 in zip(d1.delta.tolist(), (d2.delta + n1).tolist())]
-    fin = bytearray(n1 + d2.n + 1)
-    for q in d1.finals.tolist():
-        fin[q] = 1
-    for q in (d2.finals + n1).tolist():
-        fin[q] = 1
-    p, q = d1.start, n1 + d2.start
+    succ, fin = _tables(d1, d2)
+    p, q = d1.start, d1.n + d2.start
     if fin[p] != fin[q]:
         return ()
     parent = list(range(len(fin)))

@@ -1,9 +1,11 @@
 import random
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 from hypothesis import strategies as st
 
-from regroot import Dfa, Transformation
+from regroot import Dfa, Transformation, dfa
 
 
 def transformations(degree: int) -> st.SearchStrategy[Transformation]:
@@ -29,6 +31,17 @@ def small_dfas(draw, max_states=5, max_letters=3):
     start = draw(st.integers(1, n))
     finals = frozenset(q for q in range(1, n + 1) if draw(st.booleans()))
     return Dfa(n, alphabet, delta, start, finals)
+
+
+@contextmanager
+def spy_refinements():
+    # The two refinements of minimize, on arrays (_partition) and on lists
+    # (_minimize_few), spied while the block runs.
+    with (
+        patch.object(dfa, "_partition", wraps=dfa._partition) as arrays,
+        patch.object(dfa, "_minimize_few", wraps=dfa._minimize_few) as lists,
+    ):
+        yield arrays, lists
 
 
 def random_dfa(n, letters, seed):

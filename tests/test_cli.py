@@ -95,7 +95,7 @@ class TestRoot:
         assert main(["root", example_path, "--max-elements", "100"]) == 2
         assert "cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["2.0 1.0", "True False", "2 3", "2 1 1"])
+    @pytest.mark.parametrize("row", ["2.0 1.0", "True False", "2 3", "2 1 1", "2 0_2", "+2 2", "2 \uff12"])
     def test_bad_transition_row_exits_2(self, tmp_path, capsys, row):
         p = tmp_path / "bad.dfa"
         p.write_text(EMPTY_LANG.replace("trans a 2 2", f"trans a {row}"))

@@ -106,6 +106,16 @@ class TestParse:
         with pytest.raises(DfaParseError, match="expected an integer"):
             parse("states one\n")
 
+    @pytest.mark.parametrize("letter", ["x_1", "+", "\u03b1", "\uff11"])
+    def test_any_letter_round_trips(self, letter):
+        # Only the integer tokens of a line are held to ASCII digits.
+        d = Dfa(2, (letter, "b"), [[2, 1], [1, 1]], 2, [1])
+        assert parse(serialize(d)) == d
+
+    def test_the_message_names_the_token_and_the_line(self):
+        with pytest.raises(DfaParseError, match=r"^line 5: expected an integer in ASCII digits, got '0_2'$"):
+            parse("states 2\nalphabet a\nstart 1\nfinals 2\ntrans a 0_2 1\n")
+
     def test_empty_finals_allowed(self):
         d = parse("states 1\nalphabet a\nstart 1\nfinals\ntrans a 1\n")
         assert d.finals.tolist() == []
@@ -138,6 +148,25 @@ PARSE_ERRORS = {
     "letter-not-in-alphabet": (SMALL_TEXT + "trans b 1 1\n", "letter 'b' not in alphabet", 6),
     "start-out-of-range": (_edited("start 1", "start 3"), "state 3 out of range 1..2", None),
     "final-out-of-range": (_edited("finals 2", "finals 2 4"), "state 4 out of range 1..2", None),
+    # int() takes each of these, but serialize never writes them.
+    "full-width-digit": (_edited("start 1", "start \uff11"), "got '\uff11'", 3),
+    "arabic-indic-digit": (_edited("trans a 2 1", "trans a 2 \u0661"), "got '\u0661'", 5),
+    "underscore": (_edited("finals 2", "finals 0_2"), "got '0_2'", 4),
+    "plus-sign": (_edited("trans a 2 1", "trans a +2 1"), "got '+2'", 5),
+    "plus-count": (_edited("states 2", "states +2"), "got '+2'", 1),
+    # Nor does int() take these.
+    "inner-minus": (_edited("trans a 2 1", "trans a 2 1-1"), "got '1-1'", 5),
+    "lone-minus": (_edited("finals 2", "finals -"), "got '-'", 4),
+    "double-minus": (_edited("trans a 2 1", "trans a --2 1"), "got '--2'", 5),
+    # A leading minus is read, so a negative state is out of range.
+    "negative-state": (_edited("trans a 2 1", "trans a -1 1"), "state -1 out of range 1..2", 5),
+    "negative-count": (_edited("states 2", "states -1"), "state count -1 must be positive", 1),
+    # A letter may hold any character; the states after it may not.
+    "digit-after-odd-letter": (
+        "states 2\nalphabet x_+ y\nstart 1\nfinals 2\ntrans x_+ 2 1\ntrans y 1 \uff12\n",
+        "got '\uff12'",
+        6,
+    ),
 }
 
 

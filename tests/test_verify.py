@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import pytest
 
-from regroot import RootAutomaton, Transformation, dfa, verify
+from regroot import RootAutomaton, Transformation, verify
 from regroot.counting import _ukl_terms
 from regroot.dfa import chain_dfa
 from regroot.monoid import tn_generators
@@ -21,6 +21,8 @@ from regroot.verify import (
     suite_start_final_variation,
     suite_unary,
 )
+
+from conftest import spy_refinements
 
 
 def case_by_name(report, name):
@@ -248,9 +250,9 @@ class TestUnary:
         # 3 single words and 3 * 10 random samples: the language and its
         # root by divisor marking are minimized, and the generic
         # construction is compared by the union-find walk.
-        with patch.object(dfa, "_partition", wraps=dfa._partition) as spy:
+        with spy_refinements() as (arrays, lists):
             suite_unary(4, samples=10)
-        assert spy.call_count == 2 * 33
+        assert arrays.call_count + lists.call_count == 2 * 33
 
 
 class TestCountingSuites:
