@@ -696,12 +696,19 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     return minimize(d1) == minimize(d2)
 
 
+def _need_dfa(d, caller: str) -> None:
+    # Anything but a Dfa is the ValueError, not an AttributeError further in.
+    if not isinstance(d, Dfa):
+        raise ValueError(f"{caller} needs a Dfa, got {type(d).__name__}")
+
+
 def _unary_chain(d: Dfa, caller: str) -> tuple[list[int], int]:
     # The reachable states of a one-letter DFA in path order, and the index
     # j of the loop entry in that path (the tail length).  With one letter
     # the reachable states are the path from the start, and the loop entry
     # is the successor of its last state.  Each level holds one state, so
     # the walk is one scalar run.
+    _need_dfa(d, caller)
     if len(d.alphabet) != 1:
         raise ValueError(f"{caller} needs a one-letter alphabet")
     (path,) = _reachable(d)

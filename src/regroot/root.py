@@ -7,11 +7,15 @@ takes the original start state into the original finals.  Only reachable
 maps, i.e. the transformation monoid, are ever materialized.
 
 The construction works on the monoid's packed image rows: a letter
-acting as g moves element f to f * g, so its transition row is
-TransMonoid.right_translation(g), the row of the right Cayley graph for
-g; `monoid` describes how that finds the numbers of the products.  The
-finals come from iterating q -> f(q) degree-many times over all rows at
-once.
+acting as g moves element f to f * g, so its transition row is the row
+of the right Cayley graph for g.  Each letter translates all rows at
+once through the bytes.translate table of g (`monoid` has the details),
+and the products are numbered on one of two paths, chosen by the bytes
+of rows.  A small monoid keeps its rows as bytes, looks each product up
+in a dict and marks each final by the scalar walk of
+accepting_transformation; a larger one looks all products up at once in
+TransMonoid.right_translation and marks the finals by iterating q ->
+f(q) degree-many times over all rows at once.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import Dfa, _unary_chain, accepts, chain_dfa, minimize
-from .monoid import DEFAULT_MAX_ELEMENTS, TransMonoid, transformation_monoid
+from .dfa import Dfa, _need_dfa, _unary_chain, accepts, chain_dfa, minimize
+from .monoid import DEFAULT_MAX_ELEMENTS, TransMonoid, _table, transformation_monoid
 from .transform import Transformation, _as_int
 
 
@@ -50,14 +54,25 @@ def accepting_transformation(f, q0: int, finals) -> bool:
 
     Walks q0, f(q0), f(f(q0)), ...; after degree-many applications the
     trajectory has visited every state it ever will.  An f that is not a
-    Transformation is checked as one.
+    Transformation is checked as one; finals that are not an iterable of
+    states are a ValueError.
     """
     row = f if isinstance(f, Transformation) else Transformation(f)
     if type(q0) is not int:
         q0 = _as_int(q0, "state")
     if not 1 <= q0 <= len(row):
         raise ValueError(f"state {q0} out of range 1..{len(row)}")
-    finals = frozenset(finals)
+    try:
+        finals = frozenset(finals)
+    except TypeError:
+        raise ValueError(f"finals must be an iterable of states, got {finals!r}") from None
+    return _reaches(row, q0, finals)
+
+
+def _reaches(row, q0: int, finals) -> bool:
+    # accepting_transformation's walk on checked arguments: row is a
+    # sequence of the images 1..n (a tuple, or the bytes of a packed row)
+    # and finals a set.
     q = row[q0 - 1]
     for _ in range(len(row)):
         if q in finals:
@@ -66,20 +81,86 @@ def accepting_transformation(f, q0: int, finals) -> bool:
     return False
 
 
+# root_automaton builds a monoid of at most this many bytes of rows,
+# len(m) * degree, on bytes (_root_few), and a larger one on arrays.
+# Measured per call with the monoid given, on 40 random DFAs per row (1 to
+# 40 states with one letter, 1 to 12 with more), median of 5 seeds, 2-core
+# x86-64 box:
+#
+#   letters  bytes of rows   arrays    bytes
+#   1            1-64          61 us     20 us
+#   1           65-128         90 us     30 us
+#   1          129-256        101 us     33 us
+#   1          257-512        181 us     43 us
+#   1          513-1,024      211 us     62 us
+#   2            1-64          75 us     27 us
+#   2           65-128         96 us     54 us
+#   2          129-256        105 us     76 us
+#   2          257-512        111 us    106 us
+#   2          513-1,024      131 us    233 us
+#   3            1-64          92 us     31 us
+#   3           65-128        107 us     72 us
+#   3          129-256        122 us    118 us
+#   3          257-512        141 us    211 us
+#   3          513-1,024      174 us    314 us
+#
+# Each letter costs the bytes path one dict lookup per element and the
+# array path one fixed run of numpy calls, so the crossover falls as
+# letters are added: past 1,024 bytes with one letter, about 512 with two
+# and 256 with three.  One limit in bytes keeps the rule simple at the
+# cost of one- and two-letter monoids just past it.
+_BYTES_LIMIT = 256
+
+
 def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> RootAutomaton:
     """Build the automaton recognizing root(L(d)).
 
     A precomputed transformation monoid of d may be passed to share work
     across calls that differ only in start or final states; a monoid that
-    misses a product of an element with a letter map is a ValueError.
+    misses a product of an element with a letter map is a ValueError, and
+    so is a d that is not a Dfa or a monoid that is not a TransMonoid.
+
+    Two paths, chosen by the bytes of rows, len(monoid) * degree, give
+    equal results.  A monoid of at most _BYTES_LIMIT bytes is built on
+    Python bytes, lists and one dict (_root_few), with no numpy pass; a
+    larger one on arrays, through TransMonoid.right_translation and
+    _accepting_rows.  The crossover table is in the comment on
+    _BYTES_LIMIT.
     """
+    _need_dfa(d, "root_automaton")
+    if monoid is not None and not isinstance(monoid, TransMonoid):
+        raise ValueError(f"monoid must be a TransMonoid, got {type(monoid).__name__}")
     m = monoid if monoid is not None else transformation_monoid(d, max_elements=max_elements)
     if m.degree != d.n:
         raise ValueError(f"monoid degree {m.degree} does not match DFA size {d.n}")
-    delta = np.array([m.right_translation(g) for g in d.delta.tolist()])
-    finals = np.flatnonzero(_accepting_rows(m.rows, d.start, d.finals)) + 1
+    if m.rows.size <= _BYTES_LIMIT:
+        delta, finals = _root_few(m, d)
+    else:
+        delta = np.array([m.right_translation(g) for g in d.delta.tolist()])
+        finals = np.flatnonzero(_accepting_rows(m.rows, d.start, d.finals)) + 1
     return RootAutomaton(dfa=Dfa(len(m), d.alphabet, delta, 1, finals), monoid=m)
+
+
+def _root_few(m: TransMonoid, d: Dfa) -> tuple[list[list[int]], list[int]]:
+    # root_automaton's delta and finals on bytes.  The rows are slices of
+    # one packed buffer, numbered by a dict; each letter's products are one
+    # bytes.translate of the buffer, cut the same way, and one lookup each.
+    n = m.degree
+    packed = m.rows.tobytes()
+    cuts = range(0, len(packed), n)
+    rows = [packed[i : i + n] for i in cuts]
+    number = {row: s for s, row in enumerate(rows, 1)}
+    delta = []
+    for g in d.delta.tolist():
+        products = packed.translate(_table(g))
+        try:
+            delta.append([number[products[i : i + n]] for i in cuts])
+        except KeyError:
+            m.right_translation(g)  # a product is no element: its "not closed" error
+            raise
+    finals = frozenset(d.finals.tolist())
+    return delta, [s for s, row in enumerate(rows, 1) if _reaches(row, d.start, finals)]
 
 
 def _accepting_rows(rows: np.ndarray, q0: int, finals) -> np.ndarray:
@@ -136,4 +217,5 @@ def unary_root(d: Dfa) -> Dfa:
 
 def root_state_complexity(d: Dfa) -> int:
     """Number of states of the minimal DFA for root(L(d))."""
+    _need_dfa(d, "root_state_complexity")
     return minimize(root_automaton(d).dfa).n

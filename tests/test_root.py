@@ -70,6 +70,11 @@ class TestAcceptingTransformation:
         with pytest.raises(ValueError, match=re.escape(message)):
             accepting_transformation(row, 1, {2})
 
+    @pytest.mark.parametrize("finals", [None, 2, [[1]]])
+    def test_rejects_finals_that_are_not_states(self, finals):
+        with pytest.raises(ValueError, match=re.escape(f"finals must be an iterable of states, got {finals!r}")):
+            accepting_transformation((2, 1), 1, finals)
+
 
 class TestRootAutomaton:
     def test_example_dfa_state_count(self, example_dfa):
@@ -118,6 +123,12 @@ class TestRootAutomaton:
         d = dfa_based_on(ukl_generators(2, 3))
         with pytest.raises(ValueError, match="not closed"):
             root_automaton(d, monoid=closure([cycle_pair(2, 3)]))
+
+    @pytest.mark.parametrize("monoid", [[(1, 2), (2, 1)], "monoid", 0])
+    def test_precomputed_monoid_must_be_a_trans_monoid(self, monoid):
+        d = dfa_based_on([(2, 1)])
+        with pytest.raises(ValueError, match=f"^monoid must be a TransMonoid, got {type(monoid).__name__}$"):
+            root_automaton(d, monoid=monoid)
 
     def test_containment_of_the_base_language(self, example_dfa):
         ra = root_automaton(example_dfa)
@@ -230,6 +241,13 @@ class TestRootStateComplexity:
 
     def test_example_dfa(self, example_dfa):
         assert root_state_complexity(example_dfa) == 1847
+
+
+@pytest.mark.parametrize("build", [root_automaton, unary_root, root_state_complexity])
+@pytest.mark.parametrize("d", [None, "1 a\n", ((2, 1),)], ids=["None", "text", "rows"])
+def test_anything_but_a_dfa_is_refused(build, d):
+    with pytest.raises(ValueError, match=f"^{build.__name__} needs a Dfa, got {type(d).__name__}$"):
+        build(d)
 
 
 @given(small_dfas(max_states=4, max_letters=2))

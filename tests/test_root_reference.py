@@ -10,12 +10,18 @@ Both constructions have two paths, chosen by the monoid: wide closure
 levels and large right translations of degree at most 8 run on dense maps
 over the base-n codes, and the rest on keys.  The cases below name the
 path they take, on each side of that crossover.
+
+root_automaton has two paths of its own: a monoid of at most
+root._BYTES_LIMIT bytes of rows is built on bytes, and a larger one on
+arrays.  check builds every automaton both ways, the second with the limit
+patched to 0, since nearly every small DFA would take the bytes path.
 """
 
 import itertools
 import random
 from collections import deque
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +41,7 @@ from regroot import (
     transformation_monoid,
     ukl_generators,
 )
-from regroot import monoid
+from regroot import monoid, root
 
 from conftest import small_dfas
 
@@ -70,11 +76,25 @@ def reference_root(d: Dfa, rows: list[tuple[int, ...]]) -> Dfa:
     return Dfa(len(rows), d.alphabet, delta, 1, finals)
 
 
+def on_arrays():
+    # root_automaton takes the array path whatever the monoid's size.
+    return patch.object(root, "_BYTES_LIMIT", 0)
+
+
+def both_paths(d: Dfa) -> tuple:
+    # root_automaton(d) as shipped, and on arrays.
+    shipped = root_automaton(d)
+    with on_arrays():
+        return shipped, root_automaton(d)
+
+
 def check(d: Dfa) -> None:
     m = transformation_monoid(d)
     rows = reference_closure(d.delta)
     assert list(m) == rows
-    assert root_automaton(d).dfa == reference_root(d, rows)
+    expected = reference_root(d, rows)
+    for ra in both_paths(d):
+        assert ra.dfa == expected
 
 
 @given(small_dfas(max_states=5))
@@ -139,17 +159,50 @@ def test_monoid_missing_a_product():
     rows = reference_closure([cycle_pair(2, 3)])
     with pytest.raises(ValueError, match="not closed"):
         reference_root(d, rows)
-    with pytest.raises(ValueError, match="not closed"):
-        root_automaton(d, monoid=closure([cycle_pair(2, 3)]))
+    m = closure([cycle_pair(2, 3)])
+    assert m.rows.size <= root._BYTES_LIMIT
+    with pytest.raises(ValueError, match="not closed") as on_bytes:
+        root_automaton(d, monoid=m)
+    with on_arrays(), pytest.raises(ValueError, match="not closed") as arrays:
+        root_automaton(d, monoid=m)
+    assert str(on_bytes.value) == str(arrays.value)
+
+
+# Two-letter monoids of degree 8 with 32 and 33 elements: 256 bytes of rows,
+# exactly the limit, and one row past it.
+AT_THE_LIMIT = [(6, 8, 1, 1, 5, 1, 5, 5), (4, 6, 7, 5, 4, 2, 6, 4)]
+ONE_ROW_PAST = [(4, 6, 3, 3, 8, 3, 7, 4), (1, 1, 7, 1, 3, 2, 7, 5)]
+
+
+@pytest.mark.parametrize(
+    "gens, size, on_bytes",
+    [
+        ([tuple(range(2, 17)) + (1,)], 256, True),  # a 16-cycle
+        (AT_THE_LIMIT, 256, True),
+        (ONE_ROW_PAST, 264, False),
+    ],
+    ids=["cycle-16", "at-the-limit", "one-row-past"],
+)
+def test_each_side_of_the_bytes_limit(gens, size, on_bytes, monkeypatch):
+    assert root._BYTES_LIMIT == 256
+    calls = []
+    real = root._root_few
+    monkeypatch.setattr(root, "_root_few", lambda m, d: calls.append(m) or real(m, d))
+    d = replace(dfa_based_on(gens), finals={2, 5})
+    assert closure(gens).rows.size == size
+    expected = reference_root(d, reference_closure(gens))
+    for ra in both_paths(d):
+        assert ra.dfa == expected
+    assert len(calls) == on_bytes
 
 
 @given(small_dfas(max_states=4, max_letters=2))
 @settings(max_examples=100, deadline=None)
 def test_finals_element_by_element(d):
-    ra = root_automaton(d)
-    for s in range(1, ra.dfa.n + 1):
-        f = ra.element_of(s)
-        assert (s in ra.dfa.finals) == accepting_transformation(f, d.start, d.finals)
+    for ra in both_paths(d):
+        for s in range(1, ra.dfa.n + 1):
+            f = ra.element_of(s)
+            assert (s in ra.dfa.finals) == accepting_transformation(f, d.start, d.finals)
 
 
 @given(small_dfas(max_states=4, max_letters=2))
@@ -157,18 +210,18 @@ def test_finals_element_by_element(d):
 def test_finals_against_the_power_oracle(d):
     # Every state is an element of the monoid, so some word reaches it;
     # the state is final iff that word is in root(L).
-    ra = root_automaton(d)
-    word = {1: ()}
-    queue = deque([1])
-    while queue:
-        s = queue.popleft()
-        for a, row in zip(d.alphabet, ra.dfa.delta):
-            if row[s - 1] not in word:
-                word[row[s - 1]] = word[s] + (a,)
-                queue.append(row[s - 1])
-    assert len(word) == ra.dfa.n
-    for s, w in word.items():
-        assert (s in ra.dfa.finals) == root_member_oracle(d, w)
+    for ra in both_paths(d):
+        word = {1: ()}
+        queue = deque([1])
+        while queue:
+            s = queue.popleft()
+            for a, row in zip(d.alphabet, ra.dfa.delta):
+                if row[s - 1] not in word:
+                    word[row[s - 1]] = word[s] + (a,)
+                    queue.append(row[s - 1])
+        assert len(word) == ra.dfa.n
+        for s, w in word.items():
+            assert (s in ra.dfa.finals) == root_member_oracle(d, w)
 
 
 @pytest.fixture
