@@ -236,6 +236,7 @@ def parse(text) -> Dfa:
 
 def serialize(d: Dfa) -> str:
     """Render a Dfa in the text format; parse(serialize(d)) == d."""
+    _need_dfa(d, "serialize")
     lines = [
         f"states {d.n}",
         "alphabet " + " ".join(d.alphabet),
@@ -585,6 +586,7 @@ def minimize(d: Dfa) -> Dfa:
     class representatives with no Python int per state.  The crossover
     table is in the comment on _LIST_LIMIT.
     """
+    _need_dfa(d, "minimize")
     if d.delta.size <= _LIST_LIMIT:
         return _minimize_few(d)
     _, succ, fin, cls, reps = _partition(d)
@@ -596,6 +598,7 @@ def nerode_partition(d: Dfa) -> tuple[np.ndarray, np.ndarray]:
 
     State states[i] of d becomes state cls[i] + 1 of minimize(d).
     """
+    _need_dfa(d, "nerode_partition")
     states, _, _, cls, _ = _partition(d)
     return states, cls
 

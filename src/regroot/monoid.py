@@ -15,16 +15,23 @@ binary search among the sorted keys.
 Codes, for n <= 8.  A row's base-n code is sum (row[i] - 1) n^(n-1-i), in
 0..n^n - 1; codes also order as the rows do lexicographically.  Dense maps
 indexed by code stand in for the keys where they pay: a bool map of the
-codes found, and an int32 map from code to element number plus one.
+codes found, and an int32 map from code to element number plus one.  A
+generator g acts on a code digit by digit, so with h = ceil(n / 2) two
+tables give the code of f * g from that of f: one over the n^h values of
+the last h digits, one over the n^(n-h) values of the first n - h, 4,096
+entries each at n = 8.
 
 The closure of a generator set is one breadth-first loop, a level at a
-time: the level's rows, packed into one bytes buffer, are composed with
-each generator g by a single ``bytes.translate`` through the 256-byte
-table v -> g(v).  The products are deduplicated against the rows found
-so far, held as a set of keys and, from the first level wide enough for
-the dense map, as the bool map.  Every product of generators is reachable
-that way.  The canonical order is read off at the end: the sorted keys,
-or the map's codes in order, the same rows either way.
+time, on one of two representations.  Narrow levels are packed rows: the
+level's rows, in one bytes buffer, are composed with each generator g by a
+single ``bytes.translate`` through the 256-byte table v -> g(v), and the
+products are deduplicated against a set of keys.  From the first level
+wide enough for the bool map, the level is an int32 array of codes: its
+products under g are two gathers through g's code tables, deduplicated
+against the map, and no row is built until the end.  Every product of
+generators is reachable that way.  The canonical order is read off at the
+end: the sorted keys, or the map's codes in order, decoded once; the same
+rows either way.
 
 One lookup, TransMonoid._numbers, takes packed rows to their element
 numbers plus one, 0 for a row that is no element; it alone chooses
@@ -41,7 +48,7 @@ import itertools
 import numpy as np
 
 from .counting import _check_kl
-from .dfa import Dfa
+from .dfa import Dfa, _need_dfa
 from .transform import Transformation, _as_int, cycle_pair, identity
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
@@ -54,6 +61,34 @@ LARGEST2_MAX_N = 4
 # map of b bytes when p > _DENSE_WIDTH + b // _DENSE_SPREAD: numpy's fixed
 # cost per pass is worth _DENSE_WIDTH products on keys, and the map's
 # zeroed pages about one product per _DENSE_SPREAD bytes.
+#
+# Closure time in us, median over 8 random generator sets per row (1-3
+# maps, each a permutation or a map into 1..n of the points; best of 5 on
+# one pinned core): on keys alone, as shipped (switch above the products
+# given), and on codes from the first level.
+#
+#   n  switch  elements          keys  shipped   codes
+#   5     513  500-1,500          781      700     880
+#              1,500-3,000      1,728    1,375   1,241
+#              3,000-6,000      3,055    1,211   1,183
+#   6     534  500-1,500        1,008    1,124   1,201
+#              1,500-3,000      2,589    1,453   1,335
+#              6,000-12,000     9,017    1,983   1,824
+#   7     914  500-1,500          785      714   1,048
+#              1,500-3,000      1,598    2,004   1,550
+#              6,000-12,000     7,538    2,142   2,808
+#   8   8,704  3,000-6,000      3,840    4,006   7,378
+#              6,000-12,000     6,090    5,980   5,117
+#              12,000-25,000   15,877   12,885   6,690
+#              25,000-60,000   32,994   17,089   7,594
+#
+# A switch at 256 products was within the noise of the shipped rule at
+# n = 5..7.  At n = 8 one at about 2,048 products would halve the closures
+# of 12,000 elements and more, but _DENSE_SPREAD also sets the switch of the
+# int32 number map, which the right translations at n = 8 put where it is,
+# near 33,000 products (per letter, map built once, map against keys: 3.7
+# against 0.9 ms at 6,000-12,000 elements, 5.2 against 4.9 ms at
+# 25,000-50,000), so both constants stay.
 _DENSE_BYTES = 100_000_000
 _DENSE_WIDTH = 512
 _DENSE_SPREAD = 2048
@@ -199,36 +234,75 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
     seen = {ident}  # the rows found, until the first wide level
     known = None  # from then on, the bool map of the codes found
     size = 1
-    frontier = ident
-    while frontier:
-        products = b"".join(frontier.translate(t) for t in tables)
-        if known is None and _dense_pays(n, len(products) // n, 1):
+    frontier = ident  # packed rows, then from the first wide level codes
+    while len(frontier):
+        if known is None and _dense_pays(n, len(frontier) // n * len(tables), 1):
             known = np.zeros(n**n, bool)
             known[_codes(_unpack(b"".join(seen), n))] = True
+            halves = [_halves(t, n) for t in tables]
+            frontier = _codes(_unpack(frontier, n))
         if known is None:
+            products = b"".join(frontier.translate(t) for t in tables)
             fresh = set(np.frombuffer(products, key).tolist())
             fresh -= seen
             seen |= fresh
             frontier = b"".join(fresh)
         else:
-            codes = _codes(_unpack(products, n))
+            codes = _products(frontier, halves, n)
             fresh = np.sort(codes[~known[codes]])  # np.unique is far slower
             first = np.ones(len(fresh), bool)
             first[1:] = fresh[1:] != fresh[:-1]
             fresh = fresh[first]
             known[fresh] = True
-            frontier = _decode(fresh, n).tobytes()
+            frontier = fresh
         size += len(fresh)
         if size > cap:
             raise ClosureBudgetError(f"closure exceeds the cap of {cap} elements")
     if known is None:
         seen.remove(ident)
         rest = np.sort(np.frombuffer(b"".join(seen), key))
-    else:
-        known[_codes(_unpack(ident, n))] = False
-        rest = _decode(np.flatnonzero(known), n)
-    rows = np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n)
-    return TransMonoid(rows)
+        return TransMonoid(np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n))
+    # The identity's code first, then the others in order, decoded once into
+    # the rows themselves: int32 codes, and no copy of the rows to put the
+    # identity in front.
+    codes = np.empty(size, np.int32)
+    codes[:1] = _codes(_unpack(ident, n))
+    known[codes[0]] = False
+    codes[1:] = np.flatnonzero(known)
+    return TransMonoid(_decode(codes, n))
+
+
+def _halves(table: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # The code tables of one generator g, given by its translate table: with
+    # h = ceil(n / 2), code c = hi n^h + lo has the product code
+    # high[hi] + low[lo], g applied digit by digit.  low[lo] is the code of
+    # g on the last h digits, high[hi] that of g on the first n - h, times
+    # n^h.  Both are read off whole codes whose other digits are 0.
+    unit = n ** ((n + 1) // 2)
+    low = _codes(_unpack(_decode(np.arange(unit), n).tobytes().translate(table), n))
+    low %= unit
+    high = _codes(_unpack(_decode(np.arange(0, n**n, unit), n).tobytes().translate(table), n))
+    high -= high % unit
+    return high, low
+
+
+def _products(codes: np.ndarray, halves, n: int) -> np.ndarray:
+    # The codes of f * g for each code f and each generator's code tables
+    # (high, low) in turn, in one int32 array: two gathers per generator.
+    # Every index is in range; take writes straight into `out` in any mode
+    # but "raise", which buffers it.
+    unit = n ** ((n + 1) // 2)
+    hi = codes // unit
+    lo = hi * unit
+    np.subtract(codes, lo, out=lo)
+    out = np.empty(len(halves) * len(codes), np.int32)
+    part = np.empty_like(codes)
+    for i, (high, low) in enumerate(halves):
+        dest = out[i * len(codes) : (i + 1) * len(codes)]
+        high.take(hi, out=dest, mode="wrap")
+        low.take(lo, out=part, mode="wrap")
+        dest += part
+    return out
 
 
 def _unpack(packed: bytes, n: int) -> np.ndarray:
@@ -248,19 +322,25 @@ def _codes(rows: np.ndarray) -> np.ndarray:
 
 
 def _decode(codes: np.ndarray, n: int) -> np.ndarray:
-    # The (len(codes), n) uint8 rows of the base-n codes, worked in int32,
-    # where division is faster than in np.flatnonzero's int64.
+    # The (len(codes), n) uint8 rows of the base-n codes, worked in place in
+    # int32, where division is faster than in int64: each digit is
+    # rest - (rest // n) n, without numpy's slower remainder.
     rows = np.empty((len(codes), n), np.uint8)
     rest = codes.astype(np.int32)
+    q = np.empty_like(rest)
     for i in range(n - 1, -1, -1):
-        rows[:, i] = rest % n
-        rest //= n
+        np.floor_divide(rest, n, out=q)
+        q *= n
+        rest -= q
+        rows[:, i] = rest
+        np.floor_divide(q, n, out=rest)
     rows += 1
     return rows
 
 
 def transformation_monoid(d: Dfa, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
     """Closure of the per-letter state maps of a DFA."""
+    _need_dfa(d, "transformation_monoid")
     return closure([d.letter_transformation(a) for a in d.alphabet], max_elements=max_elements)
 
 

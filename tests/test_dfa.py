@@ -458,6 +458,13 @@ def test_nerode_partition_blocks():
     assert cls.tolist() == [0, 1, 1]
 
 
+@pytest.mark.parametrize("call", [minimize, nerode_partition, serialize])
+@pytest.mark.parametrize("d", [None, "1 a\n", ((2, 1),)], ids=["None", "text", "rows"])
+def test_anything_but_a_dfa_is_refused(call, d):
+    with pytest.raises(ValueError, match=f"^{call.__name__} needs a Dfa, got {type(d).__name__}$"):
+        call(d)
+
+
 def test_validation_rejects_broken_tables():
     with pytest.raises(ValueError):
         Dfa(2, ("a",), ((1, 3),), 1, frozenset())

@@ -188,6 +188,11 @@ class TestTransformationMonoid:
         m = transformation_monoid(dfa_based_on([five_cycle]))
         assert len(m) == 5
 
+    @pytest.mark.parametrize("d", [None, "1 a\n", ((2, 1),)], ids=["None", "text", "rows"])
+    def test_anything_but_a_dfa_is_refused(self, d):
+        with pytest.raises(ValueError, match=f"^transformation_monoid needs a Dfa, got {type(d).__name__}$"):
+            transformation_monoid(d)
+
 
 class TestTnGenerators:
     @pytest.mark.parametrize("n,size", [(1, 1), (2, 4), (3, 27), (4, 256), (5, 3125)])
