@@ -163,9 +163,11 @@ _DECIMAL_CHARS = re.compile(r"[-0-9]*")
 
 
 def parse(text) -> Dfa:
-    """Parse the text format above into a Dfa."""
+    """Parse the text format above into a Dfa, from str, bytes or bytearray."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
+    elif not isinstance(text, str):
+        raise DfaParseError(f"parse needs str, bytes or bytearray, got {type(text).__name__}")
     header: dict[str, list | None] = dict.fromkeys(("states", "alphabet", "start", "finals"))
     trans: dict[str, tuple[list[int], int]] = {}
 
@@ -267,10 +269,12 @@ def _decimal(states: np.ndarray) -> str:
 
 def word_transformation(d: Dfa, w) -> Transformation:
     """The state map induced by reading w; the empty word gives the identity."""
+    _need_dfa(d, "word_transformation")
     return reduce(operator.mul, (d.letter_transformation(a) for a in w), identity(d.n))
 
 
 def accepts(d: Dfa, w) -> bool:
+    _need_dfa(d, "accepts")
     delta = memoryview(d.delta)
     q = d.start
     for a in w:
@@ -429,21 +433,28 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     class too, every state final or none, and no round splits it.
 
     Then Moore rounds on 1-D keys from P_depth, each one level deeper,
-    until a round splits no class or depth reaches len(states) - 2.  Each
-    letter in turn folds the successor's class into the key,
-    key * ncls + cls[succ[j]], which is injective because cls < ncls.  A
-    round tracks a bound on its keys, and ranks them after the last
-    letter and before a fold that would take the bound past top.  A rank
-    packs each key with its position, so top is the largest bound that
-    packs, _KEY_LIMIT >> live.size.bit_length().  A fold thus stays below
-    top or below live.size * ncls, and a rank whose bound does not pack
-    is an argsort.  A state's new class depends only on its old class and
-    its successors' classes, so a class of one state never splits again,
-    and each round keys only the states of the other classes.  Folding
-    starts from the old class, so the pieces of one class have
-    consecutive ranks.  The first piece keeps the class's id and the
-    others take fresh ids from ncls up: the ids stay compact, and those
-    of the states not keyed stay valid.
+    until a round splits no class or depth reaches len(states) - 2.  A
+    state's key starts as fin, and each letter in turn folds the
+    successor's class into it, key * ncls + cls[succ[j]], which is
+    injective because cls < ncls; the successors are gathered one letter
+    at a time.  The classes entering a round are exactly Moore's P_d,
+    since the signature pass and every round before compute it exactly.
+    So two states get equal keys exactly when they agree on acceptance
+    and on the P_d class after every letter, which is P_{d + 1}.  That
+    refines P_d, so states of two old classes never share a key, and the
+    old class need not be folded in.  A round tracks a bound on its keys,
+    2 before the first fold, and ranks them after the last letter and
+    before a fold that would take the bound past top.  A rank packs each
+    key with its position, so top is the largest bound that packs,
+    _KEY_LIMIT >> live.size.bit_length().  A fold thus stays below top or
+    below live.size * ncls, and a rank whose bound does not pack is an
+    argsort.  A class of one state never splits again, so each round keys
+    only the states of the other classes, whose ids, free, it replaces.
+    The pieces of one class need not have adjacent ranks, so the first
+    free.size ranks take the ids in free and the others fresh ids from
+    ncls up: the ids stay compact, and those of the states not keyed stay
+    valid.  A round of as many pieces as free ids has split no class, and
+    ends the refinement.
 
     The ids of the refinement depend on how it went, the signature pass
     included, but the partition it ends with does not: it is the Nerode
@@ -455,30 +466,33 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     pos = np.zeros(d.n + 1, dtype=np.int64)
     pos[states] = np.arange(len(states))
     succ = pos[d.delta.take(states - 1, axis=1)]
+    del pos
     fin = np.zeros(d.n + 1, dtype=bool)
     fin[d.finals.astype(np.intp)] = True  # int32 indices assign slowly
     fin = fin[states]
     cls, depth = _signature_classes(succ, fin)
     ncls = int(cls.max()) + 1
-    live = np.flatnonzero(np.bincount(cls)[cls] > 1)
+    counts = np.bincount(cls)
+    live, free = np.flatnonzero(counts[cls] > 1), np.flatnonzero(counts > 1)
+    del counts
     while ncls > 1 and live.size and depth < len(states) - 2:
         depth += 1
         top = _KEY_LIMIT >> live.size.bit_length()
-        key, bound = cls[live], ncls
-        for s in succ.take(live, axis=1):
+        key, bound = fin[live].astype(np.int64), 2
+        for row in succ:
             if bound > top // ncls:
                 key, bound = _dense_rank(key, bound), live.size
-            key, bound = key * ncls + cls[s], bound * ncls
+            key, bound = key * ncls + cls[row.take(live)], bound * ncls
         key = _dense_rank(key, bound)
-        piece_cls = np.empty(int(key.max()) + 1, dtype=np.int64)
-        piece_cls[key] = cls[live]
-        fresh = np.flatnonzero(piece_cls[1:] == piece_cls[:-1]) + 1
-        if not fresh.size:
+        pieces = int(key.max()) + 1
+        if pieces == free.size:
             break
-        piece_cls[fresh] = np.arange(ncls, ncls + fresh.size)
-        ncls += fresh.size
-        cls[live] = piece_cls[key]
-        live = live[np.bincount(key)[key] > 1]
+        ids = np.concatenate((free, np.arange(ncls, ncls + pieces - free.size)))
+        ncls += pieces - free.size
+        cls[live] = ids[key]
+        counts = np.bincount(key)
+        live, free = live[counts[key] > 1], ids[counts > 1]
+        del counts
     reps = np.sort(_first_index(cls, ncls))
     number = np.empty(ncls, dtype=np.int64)
     number[cls[reps]] = np.arange(ncls)

@@ -62,10 +62,11 @@ def accepting_transformation(f, q0: int, finals) -> bool:
         q0 = _as_int(q0, "state")
     if not 1 <= q0 <= len(row):
         raise ValueError(f"state {q0} out of range 1..{len(row)}")
-    try:
-        finals = frozenset(finals)
-    except TypeError:
-        raise ValueError(f"finals must be an iterable of states, got {finals!r}") from None
+    if type(finals) is not frozenset:
+        try:
+            finals = frozenset(finals)
+        except TypeError:
+            raise ValueError(f"finals must be an iterable of states, got {finals!r}") from None
     return _reaches(row, q0, finals)
 
 
@@ -74,7 +75,7 @@ def _reaches(row, q0: int, finals) -> bool:
     # sequence of the images 1..n (a tuple, or the bytes of a packed row)
     # and finals a set.
     q = row[q0 - 1]
-    for _ in range(len(row)):
+    for _ in row:  # len(row) steps
         if q in finals:
             return True
         q = row[q - 1]
@@ -186,6 +187,7 @@ def root_member_oracle(d: Dfa, w) -> bool:
     The cutoff at n = d.n is sound because the states reached by the
     successive powers of w start repeating within n steps.
     """
+    _need_dfa(d, "root_member_oracle")
     return any(accepts(d, w * m) for m in range(1, d.n + 1))
 
 

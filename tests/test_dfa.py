@@ -465,6 +465,19 @@ def test_anything_but_a_dfa_is_refused(call, d):
         call(d)
 
 
+@pytest.mark.parametrize("call", [accepts, word_transformation])
+@pytest.mark.parametrize("d", [None, "1 a\n", ((2, 1),)], ids=["None", "text", "rows"])
+def test_anything_but_a_dfa_is_refused_with_a_word(call, d):
+    with pytest.raises(ValueError, match=f"^{call.__name__} needs a Dfa, got {type(d).__name__}$"):
+        call(d, "a")
+
+
+@pytest.mark.parametrize("text", [5, None, ["states 1"]], ids=["int", "None", "list"])
+def test_parse_refuses_anything_but_text(text):
+    with pytest.raises(DfaParseError, match=f"^parse needs str, bytes or bytearray, got {type(text).__name__}$"):
+        parse(text)
+
+
 def test_validation_rejects_broken_tables():
     with pytest.raises(ValueError):
         Dfa(2, ("a",), ((1, 3),), 1, frozenset())

@@ -129,19 +129,34 @@ def signature_width(letters, depth):
     return sum(letters**i for i in range(depth + 1))
 
 
-@given(small_dfas(max_states=8, max_letters=4), st.integers(0, 3))
+@given(small_dfas(max_states=8, max_letters=4), st.data())
 @settings(max_examples=200)
-def test_small_dfas_from_each_signature_depth(d, depth):
+def test_small_dfas_from_each_signature_depth(d, data):
     # The key limit is patched so that the signature pass packs up to this
     # depth and no further; it stops earlier, two short of the reachable
     # state count, where Moore's partition is already the Nerode one.  Its
-    # rank, the first, has the bound of that depth's width.
+    # rank, the first, has the bound of that depth's width.  Keys are
+    # int64, so only depths whose limit is at most 2**63 are drawn: four
+    # letters at depth 3 would need 2**85 and more.
     reached = sum(map(len, _reachable(d)))
-    limit = 1 << signature_width(len(d.alphabet), depth) << reached.bit_length()
+
+    def limit_at(depth):
+        return 1 << signature_width(len(d.alphabet), depth) << reached.bit_length()
+
+    depth = data.draw(st.sampled_from([t for t in range(4) if limit_at(t) <= 2**63]), label="depth")
+    limit = limit_at(depth)
     with patch.object(dfa, "_KEY_LIMIT", limit), patch.object(dfa, "_dense_rank", wraps=dfa._dense_rank) as spy:
         check(d)
     ran = min(depth, max(reached - 2, 0))
     assert spy.call_args_list[0].args[1] == 1 << signature_width(len(d.alphabet), ran)
+
+
+def test_four_letters_at_the_shipped_limit():
+    # Five classes.  A limit patched to 2**88 lets the signature pass run
+    # to depth 3, whose int64 signature overflows and merges two of them.
+    d = Dfa(5, ("a", "b", "c", "d"), [[1, 1, 1, 1, 1], [1, 3, 4, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 5, 1]], 2, [5])
+    check(d)
+    assert minimize(d).n == 5
 
 
 def test_chain_is_split_by_the_signature_pass_alone():

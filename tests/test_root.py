@@ -250,6 +250,12 @@ def test_anything_but_a_dfa_is_refused(build, d):
         build(d)
 
 
+@pytest.mark.parametrize("d", [None, "1 a\n", ((2, 1),)], ids=["None", "text", "rows"])
+def test_the_power_oracle_refuses_anything_but_a_dfa(d):
+    with pytest.raises(ValueError, match=f"^root_member_oracle needs a Dfa, got {type(d).__name__}$"):
+        root_member_oracle(d, "a")
+
+
 @given(small_dfas(max_states=4, max_letters=2))
 @settings(max_examples=40, deadline=None)
 def test_root_acceptance_equals_power_oracle(d):
