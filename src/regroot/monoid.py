@@ -1,9 +1,15 @@
 """Transformation monoids: closure enumeration and generator families.
 
-A monoid of degree n is stored as one (m, n) uint8 array of 1-based image
-rows: the identity first, then the other elements sorted
-lexicographically, so the numbering does not depend on generator order.
-Two indexes lead from a row to its number.
+A monoid of degree n lists its elements in one canonical order: the
+identity first, then the other elements sorted lexicographically, so the
+numbering does not depend on generator order.  It is stored in one of two
+forms, in that order: an (m, n) uint8 array of 1-based image rows, or,
+for a monoid that closure built on codes (below), an int32 array of their
+base-n codes, 4 bytes an element against n.  The rows of a coded monoid
+are decoded on their first read and then replace the codes; its size, its
+lookups and its rank histogram read the codes and decode nothing, and its
+right translations read the rows.  Two indexes lead from a row to its
+number.
 
 Keys, for every degree.  Each row's n bytes, read as a numpy ``S{n}``
 string, are its key.  numpy compares such strings bytewise as unsigned
@@ -13,13 +19,15 @@ strips from ``S`` values never merge two keys.  A key is looked up by a
 binary search among the sorted keys.
 
 Codes, for n <= 8.  A row's base-n code is sum (row[i] - 1) n^(n-1-i), in
-0..n^n - 1; codes also order as the rows do lexicographically.  Dense maps
+0..n^n - 1; codes also order as the rows do lexicographically, so a coded
+monoid looks a code up by a binary search among its own.  Dense maps
 indexed by code stand in for the keys where they pay: a bool map of the
 codes found, and an int32 map from code to element number plus one.  A
 generator g acts on a code digit by digit, so with h = ceil(n / 2) two
 tables give the code of f * g from that of f: one over the n^h values of
 the last h digits, one over the n^(n-h) values of the first n - h, 4,096
-entries each at n = 8.
+entries each at n = 8.  Two tables of the same shape give the image set
+of each half as a bitmask, so a code's rank is the popcount of their OR.
 
 The closure of a generator set is one breadth-first loop, a level at a
 time, on one of two representations.  Narrow levels are packed rows: the
@@ -28,17 +36,18 @@ single ``bytes.translate`` through the 256-byte table v -> g(v), and the
 products are deduplicated against a set of keys.  From the first level
 wide enough for the bool map, the level is an int32 array of codes: its
 products under g are two gathers through g's code tables, deduplicated
-against the map, and no row is built until the end.  Every product of
-generators is reachable that way.  The canonical order is read off at the
-end: the sorted keys, or the map's codes in order, decoded once; the same
-rows either way.
+against the map, and no row is built.  Every product of generators is
+reachable that way.  The canonical order is read off at the end: the
+sorted keys, which make the rows, or the map's codes in order, which the
+monoid keeps as they are.
 
 One lookup, TransMonoid._numbers, takes packed rows to their element
 numbers plus one, 0 for a row that is no element; it alone chooses
-between the int32 map and the keys.  index_of, membership and the right
-translations go through it.  A right translation, one row of the right
-Cayley graph (Froidure and Pin, "Algorithms for computing finite
-semigroups", 1997), is one lookup of all the products f * g at once.
+between the int32 map and a binary search of the codes or the keys.
+index_of, membership and the right translations go through it.  A right
+translation, one row of the right Cayley graph (Froidure and Pin,
+"Algorithms for computing finite semigroups", 1997), is one lookup of all
+the products f * g at once.
 """
 
 from __future__ import annotations
@@ -93,6 +102,9 @@ _DENSE_BYTES = 100_000_000
 _DENSE_WIDTH = 512
 _DENSE_SPREAD = 2048
 
+# rank_histogram reads a coded monoid's ranks this many codes at a time.
+_RANK_BLOCK = 1 << 16
+
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -106,18 +118,37 @@ class TransMonoid:
     Always contains the identity.  Elements are numbered 0..len-1 with the
     identity at 0 and the rest sorted lexicographically; this canonical
     numbering doubles as the state numbering of root automata.  `rows` is
-    the read-only (len, degree) uint8 array of their image rows.
+    the read-only (len, degree) uint8 array of their image rows.  A monoid
+    that closure built on codes holds their int32 codes instead, in the
+    same order; `rows` decodes them on its first read and then replaces
+    them, so one form is stored at a time.
     """
 
     def __init__(self, rows: np.ndarray):
         self.degree = rows.shape[1]
         rows.flags.writeable = False
-        self.rows = rows
-        self._keys = rows.view(f"S{self.degree}").ravel()
+        self._rows = rows
+        self._code = None
         self._number = None
 
+    @classmethod
+    def _coded(cls, codes: np.ndarray, n: int) -> TransMonoid:
+        # The monoid of degree n held as the base-n codes of its elements,
+        # in canonical order.
+        m = cls.__new__(cls)
+        m.degree, m._rows, m._code, m._number = n, None, codes, None
+        return m
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            rows = _decode(self._code, self.degree)
+            rows.flags.writeable = False
+            self._rows, self._code = rows, None
+        return self._rows
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows if self._code is None else self._code)
 
     def __iter__(self):
         """The elements in order, as tuples of their image rows.
@@ -132,9 +163,11 @@ class TransMonoid:
 
     def element(self, i: int) -> Transformation:
         i = _as_int(i, "element number")
-        if not 0 <= i < len(self.rows):
-            raise ValueError(f"element number {i} out of range 0..{len(self.rows) - 1}")
-        return Transformation(self.rows[i].tolist())
+        if not 0 <= i < len(self):
+            raise ValueError(f"element number {i} out of range 0..{len(self) - 1}")
+        if self._code is None:
+            return Transformation(self._rows[i].tolist())
+        return Transformation(_decode(self._code[i : i + 1], self.degree)[0].tolist())
 
     def index_of(self, f) -> int:
         i = self._lookup(f) - 1
@@ -144,30 +177,40 @@ class TransMonoid:
 
     def _lookup(self, f) -> int:
         # The element number plus one of the row f, or 0 where it is none.
+        # A row with an image outside 1..n would code as some other row.
         row = tuple(f)
         try:
             packed = bytes(row)
         except (TypeError, ValueError):
             return 0
-        return int(self._numbers(packed)[0]) if len(packed) == self.degree else 0
+        n = self.degree
+        if len(packed) != n or min(packed) < 1 or max(packed) > n:
+            return 0
+        return int(self._numbers(packed)[0])
 
     def _numbers(self, packed: bytes) -> np.ndarray:
         # The element number plus one of each row packed in `packed`, or 0
         # where the row is no element: a gather through the dense number map
-        # where it pays, else a binary search of the keys.  Keys hold no 0
-        # byte, so NUL-padded values never match by accident.
+        # where it pays, else a binary search of the monoid's codes or keys.
+        # The rows' images are in 1..n; keys hold no 0 byte, so NUL-padded
+        # values never match by accident.
         n = self.degree
         if _dense_pays(n, len(packed) // n, 4):
             if self._number is None:
                 self._number = np.zeros(n**n, np.int32)
-                self._number[_codes(self.rows)] = np.arange(1, len(self.rows) + 1)
+                own = _codes(self._rows) if self._code is None else self._code
+                self._number[own] = np.arange(1, len(self) + 1)
             return self._number[_codes(_unpack(packed, n))]
-        keys = np.frombuffer(packed, self._keys.dtype)
-        own = self._keys
-        pos = np.searchsorted(own[1:], keys) + 1  # own[1:] is sorted
-        pos[keys == own[0]] = 0
+        if self._code is None:
+            query = np.frombuffer(packed, f"S{n}")
+            own = self._rows.view(query.dtype).ravel()
+        else:
+            query = _codes(_unpack(packed, n))
+            own = self._code
+        pos = np.searchsorted(own[1:], query) + 1  # own[1:] is sorted
+        pos[query == own[0]] = 0
         np.minimum(pos, len(own) - 1, out=pos)
-        return np.where(own[pos] == keys, pos + 1, 0)
+        return np.where(own[pos] == query, pos + 1, 0)
 
     def right_translation(self, g) -> np.ndarray:
         """The number plus one of f * g for each element f, as an array in
@@ -186,9 +229,12 @@ class TransMonoid:
 
     def rank_histogram(self) -> dict[int, int]:
         """Count of elements per rank."""
-        ordered = np.sort(self.rows, axis=1)
-        ranks = 1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)
-        return {r: c for r, c in enumerate(np.bincount(ranks).tolist()) if c}
+        if self._code is None:
+            ordered = np.sort(self._rows, axis=1)
+            counts = np.bincount(1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)).tolist()
+        else:
+            counts = _rank_counts(self._code, self.degree)
+        return {r: c for r, c in enumerate(counts) if c}
 
 
 def _table(g: Transformation) -> bytes:
@@ -262,14 +308,13 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
         seen.remove(ident)
         rest = np.sort(np.frombuffer(b"".join(seen), key))
         return TransMonoid(np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n))
-    # The identity's code first, then the others in order, decoded once into
-    # the rows themselves: int32 codes, and no copy of the rows to put the
-    # identity in front.
+    # The identity's code first, then the others in order, which the monoid
+    # keeps: no row is decoded here.
     codes = np.empty(size, np.int32)
     codes[:1] = _codes(_unpack(ident, n))
     known[codes[0]] = False
     codes[1:] = np.flatnonzero(known)
-    return TransMonoid(_decode(codes, n))
+    return TransMonoid._coded(codes, n)
 
 
 def _halves(table: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,10 +336,7 @@ def _products(codes: np.ndarray, halves, n: int) -> np.ndarray:
     # (high, low) in turn, in one int32 array: two gathers per generator.
     # Every index is in range; take writes straight into `out` in any mode
     # but "raise", which buffers it.
-    unit = n ** ((n + 1) // 2)
-    hi = codes // unit
-    lo = hi * unit
-    np.subtract(codes, lo, out=lo)
+    hi, lo = _split(codes, n)
     out = np.empty(len(halves) * len(codes), np.int32)
     part = np.empty_like(codes)
     for i, (high, low) in enumerate(halves):
@@ -303,6 +345,45 @@ def _products(codes: np.ndarray, halves, n: int) -> np.ndarray:
         low.take(lo, out=part, mode="wrap")
         dest += part
     return out
+
+
+def _split(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # The halves hi and lo of each code c = hi n^h + lo, h = ceil(n / 2):
+    # the indexes into the tables of _halves and _rank_counts.
+    unit = n ** ((n + 1) // 2)
+    hi = codes // unit
+    lo = hi * unit
+    np.subtract(codes, lo, out=lo)
+    return hi, lo
+
+
+def _rank_counts(codes: np.ndarray, n: int) -> list[int]:
+    # The count of the codes of each rank 0..n.  The image set of a code's
+    # last h digits is a bitmask, bit v - 1 for image v, read from a table
+    # over the n^h values of lo; that of its first n - h digits from one
+    # over the n^(n-h) values of hi, both built as in _halves.  The codes
+    # are counted by the OR of their two masks, and the 2^n masks by their
+    # popcounts.  Blocks of _RANK_BLOCK codes keep the temporaries small:
+    # at T_8 closure and ranks peak at 282 MB RSS, against 394 MB in one pass.
+    h = (n + 1) // 2
+    unit = n**h
+    low = _image_masks(_decode(np.arange(unit), n)[:, n - h :])
+    high = _image_masks(_decode(np.arange(0, n**n, unit), n)[:, : n - h])
+    by_mask = np.zeros(1 << n, np.int64)
+    for start in range(0, len(codes), _RANK_BLOCK):
+        hi, lo = _split(codes[start : start + _RANK_BLOCK], n)
+        masks = high[hi]
+        masks |= low[lo]
+        by_mask += np.bincount(masks, minlength=1 << n)
+    counts = [0] * (n + 1)
+    for v, c in enumerate(by_mask.tolist()):
+        counts[v.bit_count()] += c
+    return counts
+
+
+def _image_masks(rows: np.ndarray) -> np.ndarray:
+    # The image set of each row of images 1..8 at most, bit v - 1 for v.
+    return np.bitwise_or.reduce(np.uint8(1) << (rows - 1), axis=1)
 
 
 def _unpack(packed: bytes, n: int) -> np.ndarray:

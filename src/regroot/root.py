@@ -15,7 +15,9 @@ of rows.  A small monoid keeps its rows as bytes, looks each product up
 in a dict and marks each final by the scalar walk of
 accepting_transformation; a larger one looks all products up at once in
 TransMonoid.right_translation and marks the finals by iterating q ->
-f(q) degree-many times over all rows at once.
+f(q) degree-many times over all rows at once.  A monoid that closure
+built on codes decodes its rows on their first read, so before either
+path translates them.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
     m = monoid if monoid is not None else transformation_monoid(d, max_elements=max_elements)
     if m.degree != d.n:
         raise ValueError(f"monoid degree {m.degree} does not match DFA size {d.n}")
-    if m.rows.size <= _BYTES_LIMIT:
+    if len(m) * m.degree <= _BYTES_LIMIT:
         delta, finals = _root_few(m, d)
     else:
         delta = np.array([m.right_translation(g) for g in d.delta.tolist()])

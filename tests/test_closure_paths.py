@@ -5,10 +5,15 @@ level wide enough for the dense map (n <= 8), the rest on base-n codes,
 each level two table gathers per generator.  Patched, the crossover
 constants force the code path from the first level or forbid it, so every
 case below runs on both paths.
+
+A monoid built on the code path keeps its codes: its size, lookups and rank
+histogram read them, and its rows are decoded on their first read.
+The tests below hold such a monoid against the same monoid built on rows.
 """
 
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
 
@@ -17,7 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regroot import ClosureBudgetError, Transformation, closure, identity, monoid, tn_generators, ukl_generators
+from regroot import (
+    ClosureBudgetError,
+    Transformation,
+    closure,
+    counting,
+    identity,
+    monoid,
+    stirling2,
+    tn_generators,
+    ukl_generators,
+)
 
 from conftest import transformations
 
@@ -139,3 +154,113 @@ def test_cap_at_its_boundary(path, gens):
     assert len(closure_on(path, gens, size)) == size
     with pytest.raises(ClosureBudgetError, match=f"cap of {size - 1} elements"):
         closure_on(path, gens, size - 1)
+
+
+def random_generators(rng: random.Random, n: int) -> list[Transformation]:
+    # 1 to 3 maps of degree n: a permutation, or a map into 1 to n of the points.
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        image = rng.sample(range(1, n + 1), rng.randint(1, n))
+        row = rng.sample(range(1, n + 1), n) if rng.random() < 0.4 else [rng.choice(image) for _ in range(n)]
+        gens.append(Transformation(row))
+    return gens
+
+
+def seeded_pair(seed: int):
+    # A generator set of degree 2..8, seed by seed, redrawn until its monoid
+    # has at least min(n^n / 2, 100) elements and at most CAP, and that monoid
+    # built on codes and on rows.
+    rng = random.Random(seed)
+    n = 2 + seed % 7
+    while True:
+        gens = random_generators(rng, n)
+        try:
+            rows = closure_on("keys", gens, CAP)
+        except ClosureBudgetError:
+            continue
+        if len(rows) >= min(n**n // 2, 100):
+            return gens, closure_on("codes", gens, CAP), rows
+
+
+def ranks_by_rows(m) -> dict[int, int]:
+    # The rank histogram of m counted row by row in Python, ranks ascending.
+    return dict(sorted(Counter(len(set(row)) for row in m).items()))
+
+
+# Lookups on the dense number map alone, or on the codes and keys alone.
+LOOKUPS = {
+    "map": {"_DENSE_WIDTH": -1, "_DENSE_SPREAD": 10**18},
+    "search": {"_DENSE_BYTES": 0},
+}
+
+
+@pytest.mark.parametrize("lookups", LOOKUPS)
+@pytest.mark.parametrize("seed", range(21))
+def test_coded_monoid_against_rows(seed, lookups):
+    gens, coded, rows = seeded_pair(seed)
+    n = rows.degree
+    assert coded._rows is None and rows._code is None
+    rng = random.Random(-seed)
+    strangers = [tuple(rng.randint(0, n + 1) for _ in range(n)) for _ in range(50)] + [(1,) * (n + 1)]
+    strangers = [f for f in strangers if f not in set(rows)]
+    loose = []  # maps under which the monoid is not closed
+    for _ in range(20):
+        g = Transformation([rng.randint(1, n) for _ in range(n)])
+        if any(tuple(Transformation(f) * g) not in rows for f in rows):
+            loose.append(g)
+    with patch.multiple(monoid, **LOOKUPS[lookups]):
+        for m in (coded, rows, coded):  # coded twice: on its codes, then on its decoded rows
+            assert len(m) == len(rows)
+            assert m.rank_histogram() == rows.rank_histogram() == ranks_by_rows(rows)
+            for i, f in enumerate(rows):
+                assert f in m and m.index_of(f) == i
+                assert m.element(i) == rows.element(i)
+            for f in strangers:
+                assert f not in m
+                with pytest.raises(ValueError, match="not an element"):
+                    m.index_of(f)
+            for g in gens:
+                assert m.right_translation(g).tolist() == rows.right_translation(g).tolist()
+            for g in loose:
+                with pytest.raises(ValueError, match="not closed"):
+                    m.right_translation(g)
+            assert m._code is None or m._rows is None
+            assert list(m) == list(rows)
+            assert m.rows.tobytes() == rows.rows.tobytes()
+            assert m._code is None and not m.rows.flags.writeable
+
+
+def test_coded_monoid_decodes_no_element():
+    # Counting U_{2,5} and its ranks decode no code of the monoid, only code
+    # tables of at most 7^4 codes; element(i) decodes code i alone, and
+    # index_of none.
+    m = closure(ukl_generators(2, 5))
+    with patch.object(monoid, "_decode", wraps=monoid._decode) as spy:
+        assert len(closure(ukl_generators(2, 5))) == len(m) == 610_871
+        assert m.rank_histogram() == counting._ukl_terms(2, 5)
+        tables = spy.call_count
+        assert m.index_of(m.element(300_000)) == 300_000
+    assert m._rows is None
+    decoded = [call.args[0] for call in spy.call_args_list]
+    assert all(len(codes) <= 7**4 and not np.shares_memory(codes, m._code) for codes in decoded[:tables])
+    assert [len(codes) for codes in decoded[tables:]] == [1]
+
+
+# The rank histogram of a coded monoid, whose rows stay undecoded, ranks
+# ascending as the CLI prints them; the random monoids above hold it against
+# the row sort.
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ranks_of_the_full_monoid_on_codes(n):
+    # A map of rank r: choose its image, then a surjection onto it.
+    m = closure_on("codes", tn_generators(n))
+    got = m.rank_histogram()
+    assert m._rows is None and list(got) == sorted(got)
+    assert got == {r: math.comb(n, r) * math.factorial(r) * stirling2(n, r) for r in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("k, l", [(k, l) for k in range(2, 6) for l in range(2, 8 - k) if math.gcd(k, l) == 1])
+def test_ranks_of_ukl_on_codes(k, l):
+    m = closure_on("codes", ukl_generators(k, l))
+    got = m.rank_histogram()
+    assert m._rows is None and list(got) == sorted(got)
+    assert got == counting._ukl_terms(k, l)
