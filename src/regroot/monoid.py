@@ -349,9 +349,10 @@ def _products(codes: np.ndarray, halves, n: int) -> np.ndarray:
 
 def _split(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     # The halves hi and lo of each code c = hi n^h + lo, h = ceil(n / 2):
-    # the indexes into the tables of _halves and _rank_counts.
+    # the indexes into the tables of _halves and _rank_counts, in intp, which
+    # take and indexing would otherwise copy them to on every gather.
     unit = n ** ((n + 1) // 2)
-    hi = codes // unit
+    hi = np.floor_divide(codes, unit, dtype=np.intp)
     lo = hi * unit
     np.subtract(codes, lo, out=lo)
     return hi, lo
