@@ -26,7 +26,8 @@ from .verify import SUITES
 
 
 def _load(path: str) -> Dfa:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    # parse decodes the bytes as UTF-8 and splits the lines itself.
+    return parse(Path(path).read_bytes())
 
 
 def _emit(d: Dfa, output: str | None) -> int:

@@ -14,10 +14,22 @@ There is exactly one ``trans`` line per alphabet letter; the i-th integer
 on a ``trans x`` line is the successor of state i on letter x.  ``finals``
 lists zero or more states.  Only complete transition tables are accepted.
 
+Words are separated by any whitespace that str.split splits on: spaces,
+tabs, \\x1f and the Unicode spaces such as U+00A0.  Lines end at any break
+that str.splitlines knows, so CRLF and a bare CR end a line too.  A
+letter may be any word.  An integer is ASCII digits, leading zeros allowed,
+of at most 640 characters; a minus sign before them is read only so that a
+negative state is refused as out of range.  serialize writes one space
+between words and LF line ends.
+
 A Dfa holds its transitions as one read-only (letters, n) int32 array and
 its final states as a read-only, sorted, duplicate-free int32 array, so an
 automaton of 10^7 states goes from the root construction through
-minimize to the text format without a Python int per transition.
+minimize to the text format without a Python int per transition.  The
+text format is read and written on arrays too: serialize writes a row of
+64 or more states from a matrix of digits, and parse reads the integers of
+an ASCII line of 768 or more characters from its bytes, with no str or
+Python int per state.
 """
 
 from __future__ import annotations
@@ -102,6 +114,26 @@ class Dfa:
 
 # numpy's fixed cost per call is worth about this many entries of a Python
 # list, so an array of fewer entries is checked, read and written as a list.
+# One row of n random states in 1..n, best of 15 loops pinned to one core
+# of a 2-core x86-64 box: the Dfa constructor's check of a one-letter delta,
+# _decimal against " ".join, and _read_decimal against split and int():
+#
+#   entries  chars   Dfa lists / arrays   write join / array   read split / array
+#      16       39       11.6 / 14.9 us        2.6 / 14.3 us        2.6 / 21.0 us
+#      32       86       14.9 / 14.9 us        4.5 / 13.3 us        4.6 / 19.6 us
+#      64      180       22.0 / 15.4 us        8.5 / 13.6 us        9.0 / 21.6 us
+#      96      276       28.3 / 15.7 us       12.8 / 13.7 us       14.0 / 21.4 us
+#     128      398       34.7 / 15.5 us       17.5 / 22.7 us       19.6 / 30.4 us
+#     192      660       44.7 / 14.6 us       26.9 / 20.1 us       32.3 / 30.0 us
+#     256      920       54.6 / 14.1 us       39.2 / 24.9 us       44.7 / 37.5 us
+#     384    1,432       88.3 / 16.2 us       74.1 / 36.4 us       75.5 / 53.1 us
+#     512    1,948      114.5 / 16.4 us       90.5 / 30.0 us       85.2 / 41.9 us
+#
+# The constructor crosses at 32-64 entries, writing at about 128 and
+# reading at about 200 (660-920 characters).  Raising _FEW to 128 would
+# save writing at most 6 us a row of 64-127 entries and cost the
+# constructor as much, so it stays; parse reads a line on arrays from
+# _LONG_LINE characters, its own limit.
 _FEW = 64
 
 
@@ -161,6 +193,57 @@ def _state_set(finals, n: int) -> np.ndarray:
 _DECIMAL = re.compile(r"-?[0-9]+")
 _DECIMAL_CHARS = re.compile(r"[-0-9]*")
 
+# The most characters parse takes in one integer.  640 is the lowest limit
+# on the digits of int() of a str that Python lets a program set, so int()
+# takes every integer parse accepts, whatever the limit is.
+_INT_CHARS = 640
+
+# parse reads the integers of an ASCII line of at least this many characters
+# on arrays (_read_decimal), and of a shorter one by split and int(); the
+# crossover table is in the comment on _FEW.
+_LONG_LINE = 768
+
+# bytes.translate reads a byte through this table as its digit, _SPACE
+# where str.split splits an ASCII str, or _OTHER.
+_SPACE, _OTHER = 10, 11
+_BYTE_CLASS = bytes(b - 48 if 48 <= b <= 57 else _SPACE if chr(b).isspace() else _OTHER for b in range(256))
+
+# The most digits _read_decimal reads in one integer: 10**18 - 1 fits int64.
+_ARRAY_DIGITS = 18
+
+
+def _read_decimal(text: str) -> np.ndarray | None:
+    # The whitespace-separated integers of an ASCII str as an int32 array
+    # (int64 past nine digits), or None where a byte is neither an ASCII
+    # digit nor whitespace or an integer has more than _ARRAY_DIGITS digits.
+    # The tokens are the runs of digits, bounded by the edges of the digit
+    # mask, and each is summed place by place from its last digit.
+    values = np.frombuffer(text.encode("ascii").translate(_BYTE_CLASS), dtype=np.uint8)
+    if not len(values) or values.max() == _OTHER:
+        return None
+    digit = np.zeros(len(values) + 2, dtype=bool)
+    np.less(values, _SPACE, out=digit[1:-1])
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    ends = edges[1::2]
+    lengths = ends - edges[::2]
+    width = int(lengths.max(initial=0))
+    if width > _ARRAY_DIGITS:
+        return None
+    dtype = np.int32 if width <= 9 else np.int64
+    out = np.zeros(len(ends), dtype=dtype)
+    place = np.empty(len(ends), dtype=np.uint8)
+    scaled = np.empty_like(out)
+    at = ends - 1
+    for k in range(width):
+        # Where a token has no digit k places from its end, the byte read
+        # is a separator or an earlier token's, and counts as 0.
+        np.take(values, at, out=place, mode="clip")
+        place[lengths <= k] = 0
+        np.multiply(place, 10**k, out=scaled, dtype=dtype)
+        out += scaled
+        at -= 1
+    return out
+
 
 def parse(text) -> Dfa:
     """Parse the text format above into a Dfa, from str, bytes or bytearray."""
@@ -168,14 +251,23 @@ def parse(text) -> Dfa:
         text = text.decode("utf-8")
     elif not isinstance(text, str):
         raise DfaParseError(f"parse needs str, bytes or bytearray, got {type(text).__name__}")
-    header: dict[str, list | None] = dict.fromkeys(("states", "alphabet", "start", "finals"))
-    trans: dict[str, tuple[list[int], int]] = {}
+    header: dict[str, list | np.ndarray | None] = dict.fromkeys(("states", "alphabet", "start", "finals"))
+    trans: dict[str, tuple[list[int] | np.ndarray, int]] = {}
 
-    def want_ints(tokens: list[str], lineno: int, raw: str) -> list[int]:
-        # int() also takes a plus sign, underscores and non-ASCII digits, so
-        # each line is checked once: the raw line, if it holds none of them,
-        # or else its integer tokens joined.
-        if (raw.isascii() and "_" not in raw and "+" not in raw) or _DECIMAL_CHARS.fullmatch("".join(tokens)):
+    def want_ints(rest: str, lineno: int) -> list[int] | np.ndarray:
+        # The integers of the rest of a line: an array of _FEW or more
+        # read by _read_decimal, or else a list.  int() also takes a plus
+        # sign, underscores and non-ASCII digits, so each line is checked
+        # once: rest, if it holds none of them, or else its tokens joined.
+        # A line that fails is read token by token for the error.
+        if len(rest) >= _LONG_LINE and rest.isascii():
+            values = _read_decimal(rest)
+            if values is not None:
+                return values if len(values) >= _FEW else values.tolist()
+        tokens = rest.split()
+        if (len(rest) <= _INT_CHARS or max(map(len, tokens), default=0) <= _INT_CHARS) and (
+            (rest.isascii() and "_" not in rest and "+" not in rest) or _DECIMAL_CHARS.fullmatch("".join(tokens))
+        ):
             try:
                 return list(map(int, tokens))
             except ValueError:
@@ -183,23 +275,35 @@ def parse(text) -> Dfa:
         for token in tokens:
             if not _DECIMAL.fullmatch(token):
                 raise DfaParseError(f"expected an integer in ASCII digits, got {token!r}", lineno)
+            if len(token) > _INT_CHARS:
+                raise DfaParseError(
+                    f"expected an integer of at most {_INT_CHARS} characters, got {len(token):,}: {token[:20]!r}...",
+                    lineno,
+                )
+        return list(map(int, tokens))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        words = raw.split()
-        if not words or words[0].startswith("#"):
+        # The keyword, then the rest of the line unsplit, so that a long
+        # line's integers are read in one pass.
+        key, rest = _first_word(raw)
+        if not key or key.startswith("#"):
             continue
-        key, *args = words
         if key == "trans":
-            if not args:
+            letter, rest = _first_word(rest)
+            if not letter:
                 raise DfaParseError("'trans' expects a letter and successor states", lineno)
-            if args[0] in trans:
-                raise DfaParseError(f"duplicate 'trans' line for letter {args[0]!r}", lineno)
-            trans[args[0]] = (want_ints(args[1:], lineno, raw), lineno)
+            if letter in trans:
+                raise DfaParseError(f"duplicate 'trans' line for letter {letter!r}", lineno)
+            trans[letter] = (want_ints(rest, lineno), lineno)
             continue
         if key not in header:
             raise DfaParseError(f"unknown keyword {key!r}", lineno)
         if header[key] is not None:
             raise DfaParseError(f"duplicate {key!r} line", lineno)
+        if key == "finals":
+            header[key] = want_ints(rest, lineno)
+            continue
+        args = rest.split()
         if key in ("states", "start") and len(args) != 1:
             raise DfaParseError(f"{key!r} expects one integer", lineno)
         if key == "alphabet":
@@ -209,7 +313,7 @@ def parse(text) -> Dfa:
                 raise DfaParseError("duplicate letter in alphabet", lineno)
             header[key] = args
         else:
-            header[key] = want_ints(args, lineno, raw)
+            header[key] = want_ints(rest, lineno)
         if key == "states" and header[key][0] < 1:
             raise DfaParseError(f"state count {header[key][0]} must be positive", lineno)
 
@@ -222,8 +326,9 @@ def parse(text) -> Dfa:
             raise DfaParseError(f"letter {letter!r} not in alphabet", lineno)
         if len(row) != n:
             raise DfaParseError(f"expected {n} successors, got {len(row)}", lineno)
-        if min(row) < 1 or max(row) > n:
-            q = next(q for q in row if not 1 <= q <= n)
+        low, high = (row.min(), row.max()) if isinstance(row, np.ndarray) else (min(row), max(row))
+        if low < 1 or high > n:
+            q = next(q for q in list(row) if not 1 <= q <= n)
             raise DfaParseError(f"state {q} out of range 1..{n}", lineno)
     for letter in alphabet:
         if letter not in trans:
@@ -236,35 +341,52 @@ def parse(text) -> Dfa:
         raise DfaParseError(str(exc)) from None
 
 
+def _first_word(line: str) -> tuple[str, str]:
+    # The first whitespace-separated word of line and the rest after it,
+    # or two empty strings for a blank line.
+    words = line.split(None, 1)
+    return (words[0], words[1] if len(words) > 1 else "") if words else ("", "")
+
+
 def serialize(d: Dfa) -> str:
     """Render a Dfa in the text format; parse(serialize(d)) == d."""
     _need_dfa(d, "serialize")
-    lines = [
-        f"states {d.n}",
-        "alphabet " + " ".join(d.alphabet),
-        f"start {d.start}",
-        ("finals " + _decimal(d.finals)).rstrip(),
-    ]
+    # One join of all the pieces, so that each long row is copied once.
+    parts = [f"states {d.n}\nalphabet {' '.join(d.alphabet)}\nstart {d.start}\nfinals"]
+    if len(d.finals):
+        parts += [" ", _decimal(d.finals)]
     for a, row in zip(d.alphabet, d.delta):
-        lines.append(f"trans {a} " + _decimal(row))
-    return "\n".join(lines) + "\n"
+        parts += ["\ntrans ", a, " ", _decimal(row)]
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _decimal(states: np.ndarray) -> str:
     # The positive integers of a 1-D array in decimal, space separated.  A
     # big array is written as a matrix of one state per line: each line is
     # its digits, most significant first, then a space, with the leading
-    # zeros masked out of the bytes it joins.
+    # zeros masked out of the bytes it joins.  The digits are taken from the
+    # last, in int32, as rest - (rest // 10) 10, without numpy's slower
+    # remainder.
     if len(states) < _FEW:
         return " ".join(map(str, states.tolist()))
     width = len(str(states.max()))
-    chars = np.full((len(states), width + 1), ord(" "), dtype=np.uint8)
+    chars = np.empty((len(states), width + 1), dtype=np.uint8)
+    rest = states.astype(np.int32)
+    high = np.empty_like(rest)
+    digit = np.empty_like(rest)
+    for i in range(width - 1, -1, -1):
+        np.floor_divide(rest, 10, out=high)
+        np.multiply(high, 10, out=digit)
+        np.subtract(rest, digit, out=digit)
+        chars[:, i] = digit
+        rest, high = high, rest
+    chars += ord("0")
+    chars[:, width] = ord(" ")
     keep = np.ones(chars.shape, dtype=bool)
-    for i in range(width):
-        high = states // 10 ** (width - 1 - i)
-        chars[:, i] = high % 10 + ord("0")
-        keep[:, i] = high > 0
-    return chars[keep][:-1].tobytes().decode("ascii")
+    for i in range(width - 1):
+        np.greater_equal(states, 10 ** (width - 1 - i), out=keep[:, i])
+    return str(chars[keep][:-1].data, "ascii")
 
 
 def word_transformation(d: Dfa, w) -> Transformation:
