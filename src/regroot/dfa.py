@@ -188,10 +188,8 @@ def _state_set(finals, n: int) -> np.ndarray:
 
 
 # An integer of the text format: ASCII digits after at most one minus
-# sign, which parse keeps so that -1 is refused as out of range.  A line
-# of such integers, joined, holds nothing but _DECIMAL_CHARS.
+# sign, which parse keeps so that -1 is refused as out of range.
 _DECIMAL = re.compile(r"-?[0-9]+")
-_DECIMAL_CHARS = re.compile(r"[-0-9]*")
 
 # The most characters parse takes in one integer.  640 is the lowest limit
 # on the digits of int() of a str that Python lets a program set, so int()
@@ -257,16 +255,16 @@ def parse(text) -> Dfa:
     def want_ints(rest: str, lineno: int) -> list[int] | np.ndarray:
         # The integers of the rest of a line: an array of _FEW or more
         # read by _read_decimal, or else a list.  int() also takes a plus
-        # sign, underscores and non-ASCII digits, so each line is checked
-        # once: rest, if it holds none of them, or else its tokens joined.
-        # A line that fails is read token by token for the error.
+        # sign, underscores and non-ASCII digits, so it reads only an ASCII
+        # line with none of them.  Any other line, or one it refuses, is
+        # read token by token, and its first bad token is the error.
         if len(rest) >= _LONG_LINE and rest.isascii():
             values = _read_decimal(rest)
             if values is not None:
                 return values if len(values) >= _FEW else values.tolist()
         tokens = rest.split()
         if (len(rest) <= _INT_CHARS or max(map(len, tokens), default=0) <= _INT_CHARS) and (
-            (rest.isascii() and "_" not in rest and "+" not in rest) or _DECIMAL_CHARS.fullmatch("".join(tokens))
+            rest.isascii() and "_" not in rest and "+" not in rest
         ):
             try:
                 return list(map(int, tokens))
@@ -300,20 +298,17 @@ def parse(text) -> Dfa:
             raise DfaParseError(f"unknown keyword {key!r}", lineno)
         if header[key] is not None:
             raise DfaParseError(f"duplicate {key!r} line", lineno)
-        if key == "finals":
-            header[key] = want_ints(rest, lineno)
-            continue
-        args = rest.split()
-        if key in ("states", "start") and len(args) != 1:
-            raise DfaParseError(f"{key!r} expects one integer", lineno)
         if key == "alphabet":
+            args = rest.split()
             if not args:
                 raise DfaParseError("'alphabet' expects at least one letter", lineno)
             if len(set(args)) != len(args):
                 raise DfaParseError("duplicate letter in alphabet", lineno)
             header[key] = args
-        else:
-            header[key] = want_ints(rest, lineno)
+            continue
+        if key != "finals" and len(rest.split()) != 1:
+            raise DfaParseError(f"{key!r} expects one integer", lineno)
+        header[key] = want_ints(rest, lineno)
         if key == "states" and header[key][0] < 1:
             raise DfaParseError(f"state count {header[key][0]} must be positive", lineno)
 
@@ -363,30 +358,35 @@ def serialize(d: Dfa) -> str:
 
 def _decimal(states: np.ndarray) -> str:
     # The positive integers of a 1-D array in decimal, space separated.  A
-    # big array is written as a matrix of one state per line: each line is
-    # its digits, most significant first, then a space, with the leading
-    # zeros masked out of the bytes it joins.  The digits are taken from the
-    # last, in int32, as rest - (rest // 10) 10, without numpy's slower
-    # remainder.
+    # big array is a matrix of one state per line, its digits (_digits) and
+    # a space, with the leading zeros masked out of the bytes it joins.
     if len(states) < _FEW:
         return " ".join(map(str, states.tolist()))
     width = len(str(states.max()))
     chars = np.empty((len(states), width + 1), dtype=np.uint8)
-    rest = states.astype(np.int32)
-    high = np.empty_like(rest)
-    digit = np.empty_like(rest)
-    for i in range(width - 1, -1, -1):
-        np.floor_divide(rest, 10, out=high)
-        np.multiply(high, 10, out=digit)
-        np.subtract(rest, digit, out=digit)
-        chars[:, i] = digit
-        rest, high = high, rest
+    _digits(states, 10, chars[:, :width])
     chars += ord("0")
     chars[:, width] = ord(" ")
     keep = np.ones(chars.shape, dtype=bool)
     for i in range(width - 1):
         np.greater_equal(states, 10 ** (width - 1 - i), out=keep[:, i])
     return str(chars[keep][:-1].data, "ascii")
+
+
+def _digits(values: np.ndarray, base: int, out: np.ndarray) -> None:
+    # The last out.shape[1] base-`base` digits of each value in 0..2^31 - 1,
+    # most significant first, into the rows of the uint8 matrix out.  They
+    # are taken from the last, in int32, where division is faster than in
+    # int64, as rest - (rest // base) base, without numpy's slower remainder.
+    rest = values.astype(np.int32)
+    high = np.empty_like(rest)
+    digit = np.empty_like(rest)
+    for i in range(out.shape[1] - 1, -1, -1):
+        np.floor_divide(rest, base, out=high)
+        np.multiply(high, base, out=digit)
+        np.subtract(rest, digit, out=digit)
+        out[:, i] = digit
+        rest, high = high, rest
 
 
 def word_transformation(d: Dfa, w) -> Transformation:

@@ -28,6 +28,8 @@ tables give the code of f * g from that of f: one over the n^h values of
 the last h digits, one over the n^(n-h) values of the first n - h, 4,096
 entries each at n = 8.  Two tables of the same shape give the image set
 of each half as a bitmask, so a code's rank is the popcount of their OR.
+All four are read off one decoding of the halves (_half_rows), and codes
+become rows through dfa._digits, the digit loop of the decimal writer.
 
 The closure of a generator set is one breadth-first loop, a level at a
 time, on one of two representations.  Narrow levels are packed rows: the
@@ -57,7 +59,7 @@ import itertools
 import numpy as np
 
 from .counting import _check_kl
-from .dfa import Dfa, _need_dfa
+from .dfa import Dfa, _digits, _need_dfa
 from .transform import Transformation, _as_int, cycle_pair, identity
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
@@ -322,13 +324,19 @@ def _halves(table: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     # h = ceil(n / 2), code c = hi n^h + lo has the product code
     # high[hi] + low[lo], g applied digit by digit.  low[lo] is the code of
     # g on the last h digits, high[hi] that of g on the first n - h, times
-    # n^h.  Both are read off whole codes whose other digits are 0.
+    # n^h.  Both are read off the rows of _half_rows.
     unit = n ** ((n + 1) // 2)
-    low = _codes(_unpack(_decode(np.arange(unit), n).tobytes().translate(table), n))
+    high, low = (_codes(_unpack(rows.tobytes().translate(table), n)) for rows in _half_rows(n))
     low %= unit
-    high = _codes(_unpack(_decode(np.arange(0, n**n, unit), n).tobytes().translate(table), n))
     high -= high % unit
     return high, low
+
+
+def _half_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # The rows of the codes hi n^h and lo, h = ceil(n / 2), for every hi and
+    # lo that _split gives: each half as a whole row, its other digits 0.
+    unit = n ** ((n + 1) // 2)
+    return _decode(np.arange(0, n**n, unit), n), _decode(np.arange(unit), n)
 
 
 def _products(codes: np.ndarray, halves, n: int) -> np.ndarray:
@@ -362,14 +370,14 @@ def _rank_counts(codes: np.ndarray, n: int) -> list[int]:
     # The count of the codes of each rank 0..n.  The image set of a code's
     # last h digits is a bitmask, bit v - 1 for image v, read from a table
     # over the n^h values of lo; that of its first n - h digits from one
-    # over the n^(n-h) values of hi, both built as in _halves.  The codes
+    # over the n^(n-h) values of hi, both read off _half_rows.  The codes
     # are counted by the OR of their two masks, and the 2^n masks by their
     # popcounts.  Blocks of _RANK_BLOCK codes keep the temporaries small:
     # at T_8 closure and ranks peak at 282 MB RSS, against 394 MB in one pass.
     h = (n + 1) // 2
-    unit = n**h
-    low = _image_masks(_decode(np.arange(unit), n)[:, n - h :])
-    high = _image_masks(_decode(np.arange(0, n**n, unit), n)[:, : n - h])
+    high_rows, low_rows = _half_rows(n)
+    high = _image_masks(high_rows[:, : n - h])
+    low = _image_masks(low_rows[:, n - h :])
     by_mask = np.zeros(1 << n, np.int64)
     for start in range(0, len(codes), _RANK_BLOCK):
         hi, lo = _split(codes[start : start + _RANK_BLOCK], n)
@@ -404,18 +412,9 @@ def _codes(rows: np.ndarray) -> np.ndarray:
 
 
 def _decode(codes: np.ndarray, n: int) -> np.ndarray:
-    # The (len(codes), n) uint8 rows of the base-n codes, worked in place in
-    # int32, where division is faster than in int64: each digit is
-    # rest - (rest // n) n, without numpy's slower remainder.
+    # The (len(codes), n) uint8 rows of the base-n codes, by _digits.
     rows = np.empty((len(codes), n), np.uint8)
-    rest = codes.astype(np.int32)
-    q = np.empty_like(rest)
-    for i in range(n - 1, -1, -1):
-        np.floor_divide(rest, n, out=q)
-        q *= n
-        rest -= q
-        rows[:, i] = rest
-        np.floor_divide(q, n, out=rest)
+    _digits(codes, n, rows)
     rows += 1
     return rows
 

@@ -136,8 +136,10 @@ def test_code_tables_on_samples(n):
 
 
 def test_decode_inverts_the_codes():
+    # Every digit boundary n^k - 1, n^k of the shared digit loop, and a sample.
     for n in range(1, 9):
-        codes = np.array(sorted({0, n**n - 1} | set(random.Random(n).sample(range(n**n), min(n**n, 1000)))))
+        edges = {c for k in range(1, n) for c in (n**k - 1, n**k)}
+        codes = np.array(sorted({0, n**n - 1} | edges | set(random.Random(n).sample(range(n**n), min(n**n, 1000)))))
         rows = monoid._decode(codes, n)
         assert [code(row) for row in rows.tolist()] == codes.tolist()
         assert monoid._codes(rows).tolist() == codes.tolist()
