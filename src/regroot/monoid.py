@@ -2,14 +2,13 @@
 
 A monoid of degree n lists its elements in one canonical order: the
 identity first, then the other elements sorted lexicographically, so the
-numbering does not depend on generator order.  It is stored in one of two
-forms, in that order: an (m, n) uint8 array of 1-based image rows, or,
-for a monoid that closure built on codes (below), an int32 array of their
-base-n codes, 4 bytes an element against n.  The rows of a coded monoid
-are decoded on their first read and then replace the codes; its size, its
-lookups and its rank histogram read the codes and decode nothing, and its
-right translations read the rows.  Two indexes lead from a row to its
-number.
+numbering does not depend on generator order.  It keeps, for its whole
+life, the form closure built it in: an (m, n) uint8 array of 1-based image
+rows, or, for a monoid that closure built on codes (below), an int32 array
+of their base-n codes, 4 bytes an element against n.  A coded monoid's
+size, lookups, right translations and rank histogram read the codes, and
+each read of its rows decodes them anew.  Two indexes lead from a row to
+its number.
 
 Keys, for every degree.  Each row's n bytes, read as a numpy ``S{n}``
 string, are its key.  numpy compares such strings bytewise as unsigned
@@ -21,9 +20,9 @@ binary search among the sorted keys.
 Codes, for n <= 8.  A row's base-n code is sum (row[i] - 1) n^(n-1-i), in
 0..n^n - 1; codes also order as the rows do lexicographically, so a coded
 monoid looks a code up by a binary search among its own.  Dense maps
-indexed by code stand in for the keys where they pay: a bool map of the
-codes found, and an int32 map from code to element number plus one.  A
-generator g acts on a code digit by digit, so with h = ceil(n / 2) two
+indexed by code stand in for the searches where they pay: closure's bool
+map of the codes found, and a coded monoid's int32 map from code to
+element number plus one.  A generator g acts on a code digit by digit, so with h = ceil(n / 2) two
 tables give the code of f * g from that of f: one over the n^h values of
 the last h digits, one over the n^(n-h) values of the first n - h, 4,096
 entries each at n = 8.  Two tables of the same shape give the image set
@@ -43,13 +42,14 @@ reachable that way.  The canonical order is read off at the end: the
 sorted keys, which make the rows, or the map's codes in order, which the
 monoid keeps as they are.
 
-One lookup, TransMonoid._numbers, takes packed rows to their element
-numbers plus one, 0 for a row that is no element; it alone chooses
-between the int32 map and a binary search of the codes or the keys.
+One lookup, TransMonoid._numbers, takes codes of a coded monoid, or keys
+of any other, to their element numbers plus one, 0 for one that is no
+element; it alone chooses between the int32 map and a binary search.
 index_of, membership and the right translations go through it.  A right
 translation, one row of the right Cayley graph (Froidure and Pin,
 "Algorithms for computing finite semigroups", 1997), is one lookup of all
-the products f * g at once.
+the products f * g at once, made as closure makes them: two gathers
+through g's code tables, or one bytes.translate of the packed rows.
 """
 
 from __future__ import annotations
@@ -121,36 +121,29 @@ class TransMonoid:
     identity at 0 and the rest sorted lexicographically; this canonical
     numbering doubles as the state numbering of root automata.  `rows` is
     the read-only (len, degree) uint8 array of their image rows.  A monoid
-    that closure built on codes holds their int32 codes instead, in the
-    same order; `rows` decodes them on its first read and then replaces
-    them, so one form is stored at a time.
+    keeps the form closure built it in: its rows, or for a monoid built on
+    codes their int32 codes in the same order, which each read of `rows`
+    decodes anew.
     """
 
-    def __init__(self, rows: np.ndarray):
-        self.degree = rows.shape[1]
-        rows.flags.writeable = False
-        self._rows = rows
-        self._code = None
+    def __init__(self, store: np.ndarray, degree: int):
+        # store is the (len, degree) uint8 rows or the (len,) int32 codes.
+        store.flags.writeable = False
+        self.degree = degree
+        self._store = store
+        self._on_codes = store.ndim == 1
         self._number = None
-
-    @classmethod
-    def _coded(cls, codes: np.ndarray, n: int) -> TransMonoid:
-        # The monoid of degree n held as the base-n codes of its elements,
-        # in canonical order.
-        m = cls.__new__(cls)
-        m.degree, m._rows, m._code, m._number = n, None, codes, None
-        return m
 
     @property
     def rows(self) -> np.ndarray:
-        if self._rows is None:
-            rows = _decode(self._code, self.degree)
-            rows.flags.writeable = False
-            self._rows, self._code = rows, None
-        return self._rows
+        if not self._on_codes:
+            return self._store
+        rows = _decode(self._store, self.degree)
+        rows.flags.writeable = False
+        return rows
 
     def __len__(self) -> int:
-        return len(self._rows if self._code is None else self._code)
+        return len(self._store)
 
     def __iter__(self):
         """The elements in order, as tuples of their image rows.
@@ -167,9 +160,13 @@ class TransMonoid:
         i = _as_int(i, "element number")
         if not 0 <= i < len(self):
             raise ValueError(f"element number {i} out of range 0..{len(self) - 1}")
-        if self._code is None:
-            return Transformation(self._rows[i].tolist())
-        return Transformation(_decode(self._code[i : i + 1], self.degree)[0].tolist())
+        if not self._on_codes:
+            return Transformation(self._store[i].tolist())
+        n, code, row = self.degree, int(self._store[i]), []
+        for _ in range(n):
+            code, digit = divmod(code, n)
+            row.append(digit + 1)
+        return Transformation(row[::-1])
 
     def index_of(self, f) -> int:
         i = self._lookup(f) - 1
@@ -188,27 +185,25 @@ class TransMonoid:
         n = self.degree
         if len(packed) != n or min(packed) < 1 or max(packed) > n:
             return 0
-        return int(self._numbers(packed)[0])
+        query = _codes(_unpack(packed, n)) if self._on_codes else np.frombuffer(packed, f"S{n}")
+        return int(self._numbers(query)[0])
 
-    def _numbers(self, packed: bytes) -> np.ndarray:
-        # The element number plus one of each row packed in `packed`, or 0
-        # where the row is no element: a gather through the dense number map
-        # where it pays, else a binary search of the monoid's codes or keys.
-        # The rows' images are in 1..n; keys hold no 0 byte, so NUL-padded
-        # values never match by accident.
+    def _numbers(self, query: np.ndarray) -> np.ndarray:
+        # The element number plus one of each query, or 0 where it is no
+        # element.  Queries come in the store's form: codes, looked up by a
+        # gather through the dense number map where it pays, else by a
+        # binary search of the codes; or the S{n} keys of rows, by a binary
+        # search of the monoid's keys.  The rows' images are in 1..n; keys
+        # hold no 0 byte, so NUL-padded values never match by accident.
         n = self.degree
-        if _dense_pays(n, len(packed) // n, 4):
+        own = self._store
+        if self._on_codes and _dense_pays(n, len(query), 4):
             if self._number is None:
                 self._number = np.zeros(n**n, np.int32)
-                own = _codes(self._rows) if self._code is None else self._code
-                self._number[own] = np.arange(1, len(self) + 1)
-            return self._number[_codes(_unpack(packed, n))]
-        if self._code is None:
-            query = np.frombuffer(packed, f"S{n}")
-            own = self._rows.view(query.dtype).ravel()
-        else:
-            query = _codes(_unpack(packed, n))
-            own = self._code
+                self._number[own] = np.arange(1, len(own) + 1)
+            return self._number[query]
+        if not self._on_codes:
+            own = own.view(query.dtype).ravel()
         pos = np.searchsorted(own[1:], query) + 1  # own[1:] is sorted
         pos[query == own[0]] = 0
         np.minimum(pos, len(own) - 1, out=pos)
@@ -222,20 +217,25 @@ class TransMonoid:
         automaton, whose state s is element s - 1.
         """
         g = g if isinstance(g, Transformation) else Transformation(g)
-        if g.degree != self.degree:
-            raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
-        pos = self._numbers(self.rows.tobytes().translate(_table(g)))
+        n = self.degree
+        if g.degree != n:
+            raise ValueError(f"degree mismatch: {g.degree} vs {n}")
+        if self._on_codes:
+            query = _products(self._store, [_halves(_table(g), n)], n)
+        else:
+            query = np.frombuffer(self._store.tobytes().translate(_table(g)), f"S{n}")
+        pos = self._numbers(query)
         if not pos.all():
             raise ValueError(f"this monoid is not closed under multiplication by {tuple(g)}")
         return pos
 
     def rank_histogram(self) -> dict[int, int]:
         """Count of elements per rank."""
-        if self._code is None:
-            ordered = np.sort(self._rows, axis=1)
+        if not self._on_codes:
+            ordered = np.sort(self._store, axis=1)
             counts = np.bincount(1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)).tolist()
         else:
-            counts = _rank_counts(self._code, self.degree)
+            counts = _rank_counts(self._store, self.degree)
         return {r: c for r, c in enumerate(counts) if c}
 
 
@@ -309,14 +309,14 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
     if known is None:
         seen.remove(ident)
         rest = np.sort(np.frombuffer(b"".join(seen), key))
-        return TransMonoid(np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n))
+        return TransMonoid(np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n), n)
     # The identity's code first, then the others in order, which the monoid
     # keeps: no row is decoded here.
     codes = np.empty(size, np.int32)
     codes[:1] = _codes(_unpack(ident, n))
     known[codes[0]] = False
     codes[1:] = np.flatnonzero(known)
-    return TransMonoid._coded(codes, n)
+    return TransMonoid(codes, n)
 
 
 def _halves(table: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,18 +6,16 @@ the word induces, and a map is accepting when some positive iterate of it
 takes the original start state into the original finals.  Only reachable
 maps, i.e. the transformation monoid, are ever materialized.
 
-The construction works on the monoid's packed image rows: a letter
-acting as g moves element f to f * g, so its transition row is the row
-of the right Cayley graph for g.  Each letter translates all rows at
-once through the bytes.translate table of g (`monoid` has the details),
-and the products are numbered on one of two paths, chosen by the bytes
-of rows.  A small monoid keeps its rows as bytes, looks each product up
-in a dict and marks each final by the scalar walk of
-accepting_transformation; a larger one looks all products up at once in
-TransMonoid.right_translation and marks the finals by iterating q ->
-f(q) degree-many times over all rows at once.  A monoid that closure
-built on codes decodes its rows on their first read, so before either
-path translates them.
+A letter acting as g moves element f to f * g, so its transition row is
+the row of the right Cayley graph for g.  The products are made and
+numbered on one of two paths, chosen by the bytes of rows.  A small
+monoid keeps its packed rows as bytes, translates them through the
+bytes.translate table of g, looks each product up in a dict and marks
+each final by the scalar walk of accepting_transformation; a larger one
+takes all products at once from TransMonoid.right_translation, in the
+monoid's own form (`monoid` has the details), and marks the finals by
+iterating q -> f(q) degree-many times over all rows at once, the one
+read of a coded monoid's rows.
 """
 
 from __future__ import annotations

@@ -214,11 +214,12 @@ def suite_start_final_variation(k: int, l: int) -> VerifyReport:
     want = len(ra.monoid) - binomial(n, 2)
     rec.add("baseline", baseline == want, want, baseline)
 
+    rows = ra.monoid.rows
     for z0 in range(1, n + 1):
         worst = 0
         for bits in range(2**n):
             finals = [q for q in range(1, n + 1) if bits >> (q - 1) & 1]
-            marked = np.flatnonzero(_accepting_rows(ra.monoid.rows, z0, finals)) + 1
+            marked = np.flatnonzero(_accepting_rows(rows, z0, finals)) + 1
             worst = max(worst, minimize(replace(ra.dfa, finals=marked)).n)
         rec.add(f"start-z0={z0}", worst <= baseline, f"all {2**n} final sets <= {baseline}", f"max {worst}")
     return rec.report("start-final-variation", {"k": k, "l": l})

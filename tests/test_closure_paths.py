@@ -6,9 +6,10 @@ each level two table gathers per generator.  Patched, the crossover
 constants force the code path from the first level or forbid it, so every
 case below runs on both paths.
 
-A monoid built on the code path keeps its codes: its size, lookups and rank
-histogram read them, and its rows are decoded on their first read.
-The tests below hold such a monoid against the same monoid built on rows.
+A monoid built on the code path keeps its codes for its whole life: its
+size, lookups, right translations and rank histogram read them, and each
+read of its rows decodes them anew.  The tests below hold such a monoid
+against the same monoid built on rows.
 """
 
 import math
@@ -27,8 +28,10 @@ from regroot import (
     Transformation,
     closure,
     counting,
+    dfa_based_on,
     identity,
     monoid,
+    root_automaton,
     stirling2,
     tn_generators,
     ukl_generators,
@@ -201,7 +204,7 @@ LOOKUPS = {
 def test_coded_monoid_against_rows(seed, lookups):
     gens, coded, rows = seeded_pair(seed)
     n = rows.degree
-    assert coded._rows is None and rows._code is None
+    assert coded._on_codes and not rows._on_codes
     rng = random.Random(-seed)
     strangers = [tuple(rng.randint(0, n + 1) for _ in range(n)) for _ in range(50)] + [(1,) * (n + 1)]
     strangers = [f for f in strangers if f not in set(rows)]
@@ -210,8 +213,9 @@ def test_coded_monoid_against_rows(seed, lookups):
         g = Transformation([rng.randint(1, n) for _ in range(n)])
         if any(tuple(Transformation(f) * g) not in rows for f in rows):
             loose.append(g)
+    d = dfa_based_on(gens)
     with patch.multiple(monoid, **LOOKUPS[lookups]):
-        for m in (coded, rows, coded):  # coded twice: on its codes, then on its decoded rows
+        for m in (coded, rows, coded):  # coded twice: before and after its rows are read
             assert len(m) == len(rows)
             assert m.rank_histogram() == rows.rank_histogram() == ranks_by_rows(rows)
             for i, f in enumerate(rows):
@@ -226,26 +230,29 @@ def test_coded_monoid_against_rows(seed, lookups):
             for g in loose:
                 with pytest.raises(ValueError, match="not closed"):
                     m.right_translation(g)
-            assert m._code is None or m._rows is None
+            assert root_automaton(d, monoid=m).dfa == root_automaton(d, monoid=rows).dfa
+            assert m._on_codes == (m is coded)
             assert list(m) == list(rows)
             assert m.rows.tobytes() == rows.rows.tobytes()
-            assert m._code is None and not m.rows.flags.writeable
+            assert m._on_codes == (m is coded) and not m.rows.flags.writeable
 
 
 def test_coded_monoid_decodes_no_element():
-    # Counting U_{2,5} and its ranks decode no code of the monoid, only code
-    # tables of at most 7^4 codes; element(i) decodes code i alone, and
-    # index_of none.
-    m = closure(ukl_generators(2, 5))
+    # Counting U_{2,5}, its ranks, element(i) and index_of decode no code of
+    # the monoid, only code tables of at most 7^4 codes; its root automaton
+    # decodes the whole monoid once, for the finals, and leaves it coded.
+    gens = ukl_generators(2, 5)
+    m = closure(gens)
     with patch.object(monoid, "_decode", wraps=monoid._decode) as spy:
-        assert len(closure(ukl_generators(2, 5))) == len(m) == 610_871
+        assert len(closure(gens)) == len(m) == 610_871
         assert m.rank_histogram() == counting._ukl_terms(2, 5)
-        tables = spy.call_count
         assert m.index_of(m.element(300_000)) == 300_000
-    assert m._rows is None
+        tables = spy.call_count
+        ra = root_automaton(dfa_based_on(gens), monoid=m)
+    assert ra.monoid is m and ra.dfa.n == len(m) and m._on_codes
     decoded = [call.args[0] for call in spy.call_args_list]
-    assert all(len(codes) <= 7**4 and not np.shares_memory(codes, m._code) for codes in decoded[:tables])
-    assert [len(codes) for codes in decoded[tables:]] == [1]
+    assert all(len(codes) <= 7**4 and not np.shares_memory(codes, m._store) for codes in decoded[:tables])
+    assert [len(codes) for codes in decoded[tables:] if len(codes) > 7**4] == [len(m)]
 
 
 # The rank histogram of a coded monoid, whose rows stay undecoded, ranks
@@ -256,7 +263,7 @@ def test_ranks_of_the_full_monoid_on_codes(n):
     # A map of rank r: choose its image, then a surjection onto it.
     m = closure_on("codes", tn_generators(n))
     got = m.rank_histogram()
-    assert m._rows is None and list(got) == sorted(got)
+    assert m._on_codes and list(got) == sorted(got)
     assert got == {r: math.comb(n, r) * math.factorial(r) * stirling2(n, r) for r in range(1, n + 1)}
 
 
@@ -264,5 +271,5 @@ def test_ranks_of_the_full_monoid_on_codes(n):
 def test_ranks_of_ukl_on_codes(k, l):
     m = closure_on("codes", ukl_generators(k, l))
     got = m.rank_histogram()
-    assert m._rows is None and list(got) == sorted(got)
+    assert m._on_codes and list(got) == sorted(got)
     assert got == counting._ukl_terms(k, l)
