@@ -7,8 +7,8 @@ life, the form closure built it in: an (m, n) uint8 array of 1-based image
 rows, or, for a monoid that closure built on codes (below), an int32 array
 of their base-n codes, 4 bytes an element against n.  A coded monoid's
 size, lookups, right translations and rank histogram read the codes, and
-each read of its rows decodes them anew.  Two indexes lead from a row to
-its number.
+each read of its rows decodes them anew.  A monoid holds that store and
+nothing else.  Two indexes lead from a row to its number.
 
 Keys, for every degree.  Each row's n bytes, read as a numpy ``S{n}``
 string, are its key.  numpy compares such strings bytewise as unsigned
@@ -22,11 +22,12 @@ Codes, for n <= 8.  A row's base-n code is sum (row[i] - 1) n^(n-1-i), in
 monoid looks a code up by a binary search among its own.  Dense maps
 indexed by code stand in for the searches where they pay: closure's bool
 map of the codes found, and a coded monoid's int32 map from code to
-element number plus one.  A generator g acts on a code digit by digit, so with h = ceil(n / 2) two
-tables give the code of f * g from that of f: one over the n^h values of
-the last h digits, one over the n^(n-h) values of the first n - h, 4,096
-entries each at n = 8.  Two tables of the same shape give the image set
-of each half as a bitmask, so a code's rank is the popcount of their OR.
+element number plus one, built for one lookup.  A generator g acts on a
+code digit by digit, so with h = ceil(n / 2) two tables give the code of
+f * g from that of f: one over the n^h values of the last h digits, one
+over the n^(n-h) values of the first n - h, 4,096 entries each at n = 8.
+Two tables of the same shape give the image set of each half as a
+bitmask, so a code's rank is the popcount of their OR.
 All four are read off one decoding of the halves (_half_rows), and codes
 become rows through dfa._digits, the digit loop of the decimal writer.
 
@@ -45,11 +46,11 @@ monoid keeps as they are.
 One lookup, TransMonoid._numbers, takes codes of a coded monoid, or keys
 of any other, to their element numbers plus one, 0 for one that is no
 element; it alone chooses between the int32 map and a binary search.
-index_of, membership and the right translations go through it.  A right
-translation, one row of the right Cayley graph (Froidure and Pin,
-"Algorithms for computing finite semigroups", 1997), is one lookup of all
-the products f * g at once, made as closure makes them: two gathers
-through g's code tables, or one bytes.translate of the packed rows.
+index_of, membership and right_translations go through it.  The last
+gives a root automaton's whole table, rows of the right Cayley graph
+(Froidure and Pin, "Algorithms for computing finite semigroups", 1997),
+from one lookup of every product f * g, made as closure makes a level:
+one _products call over all the maps' code tables, or bytes.translate.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ DEFAULT_MAX_ELEMENTS = 2_000_000
 LARGEST2_MAX_N = 4
 
 # Dense maps over the n^n base-n codes may take _DENSE_BYTES together: n^n
-# for closure's bool map and 4 n^n for TransMonoid's int32 number map, so
+# for closure's bool map and 4 n^n for the int32 number map of a lookup, so
 # n <= 8; larger degrees always keep the set of keys and the key search.
-# A pass over p products (a closure level, a right translation) runs on a
-# map of b bytes when p > _DENSE_WIDTH + b // _DENSE_SPREAD: numpy's fixed
-# cost per pass is worth _DENSE_WIDTH products on keys, and the map's
-# zeroed pages about one product per _DENSE_SPREAD bytes.
+# A pass over p products (a closure level, a table of right translations)
+# runs on a map of b bytes when p > _DENSE_WIDTH + b // _DENSE_SPREAD:
+# numpy's fixed cost per pass is worth _DENSE_WIDTH products on keys, and
+# the map's zeroed pages about one product per _DENSE_SPREAD bytes.
 #
 # Closure time in us, median over 8 random generator sets per row (1-3
 # maps, each a permutation or a map into 1..n of the points; best of 5 on
@@ -96,10 +97,10 @@ LARGEST2_MAX_N = 4
 # A switch at 256 products was within the noise of the shipped rule at
 # n = 5..7.  At n = 8 one at about 2,048 products would halve the closures
 # of 12,000 elements and more, but _DENSE_SPREAD also sets the switch of the
-# int32 number map, which the right translations at n = 8 put where it is,
-# near 33,000 products (per letter, map built once, map against keys: 3.7
-# against 0.9 ms at 6,000-12,000 elements, 5.2 against 4.9 ms at
-# 25,000-50,000), so both constants stay.
+# int32 number map, near 33,000 products at n = 8, so both constants stay,
+# though there a 64 MiB map built per lookup lost to the search on two
+# letters' tables of 20,160 and 154,188 elements: 11.9 against 1.9 ms and
+# 20.6 against 16.4 ms (best of 21 on one pinned core).
 _DENSE_BYTES = 100_000_000
 _DENSE_WIDTH = 512
 _DENSE_SPREAD = 2048
@@ -121,9 +122,9 @@ class TransMonoid:
     identity at 0 and the rest sorted lexicographically; this canonical
     numbering doubles as the state numbering of root automata.  `rows` is
     the read-only (len, degree) uint8 array of their image rows.  A monoid
-    keeps the form closure built it in: its rows, or for a monoid built on
-    codes their int32 codes in the same order, which each read of `rows`
-    decodes anew.
+    keeps the form closure built it in, and nothing else: its rows, or for
+    a monoid built on codes their int32 codes in the same order, which each
+    read of `rows` decodes anew.
     """
 
     def __init__(self, store: np.ndarray, degree: int):
@@ -132,7 +133,6 @@ class TransMonoid:
         self.degree = degree
         self._store = store
         self._on_codes = store.ndim == 1
-        self._number = None
 
     @property
     def rows(self) -> np.ndarray:
@@ -198,10 +198,9 @@ class TransMonoid:
         n = self.degree
         own = self._store
         if self._on_codes and _dense_pays(n, len(query), 4):
-            if self._number is None:
-                self._number = np.zeros(n**n, np.int32)
-                self._number[own] = np.arange(1, len(own) + 1)
-            return self._number[query]
+            number = np.zeros(n**n, np.int32)
+            number[own] = np.arange(1, len(own) + 1)
+            return number[query]
         if not self._on_codes:
             own = own.view(query.dtype).ravel()
         pos = np.searchsorted(own[1:], query) + 1  # own[1:] is sorted
@@ -209,24 +208,25 @@ class TransMonoid:
         np.minimum(pos, len(own) - 1, out=pos)
         return np.where(own[pos] == query, pos + 1, 0)
 
-    def right_translation(self, g) -> np.ndarray:
-        """The number plus one of f * g for each element f, as an array in
-        element order.
+    def right_translations(self, maps) -> np.ndarray:
+        """A (len(maps), len) array: row j holds the number plus one of
+        f * maps[j] for each element f, in element order.
 
-        That is the transition row of a letter acting as g in the root
-        automaton, whose state s is element s - 1.
+        That is the transition table of the root automaton whose letters
+        act as the maps, and whose state s is element s - 1.
         """
-        g = g if isinstance(g, Transformation) else Transformation(g)
-        n = self.degree
-        if g.degree != n:
-            raise ValueError(f"degree mismatch: {g.degree} vs {n}")
+        maps, n = _one_degree(maps, "need at least one map")
+        if n != self.degree:
+            raise ValueError(f"degree mismatch: {n} vs {self.degree}")
         if self._on_codes:
-            query = _products(self._store, [_halves(_table(g), n)], n)
+            query = _products(self._store, [_halves(_table(g), n) for g in maps], n)
         else:
-            query = np.frombuffer(self._store.tobytes().translate(_table(g)), f"S{n}")
-        pos = self._numbers(query)
-        if not pos.all():
-            raise ValueError(f"this monoid is not closed under multiplication by {tuple(g)}")
+            packed = self._store.tobytes()
+            query = np.frombuffer(b"".join(packed.translate(_table(g)) for g in maps), f"S{n}")
+        pos = self._numbers(query).reshape(len(maps), -1)
+        for g, row in zip(maps, pos):
+            if not row.all():
+                raise ValueError(f"this monoid is not closed under multiplication by {tuple(g)}")
         return pos
 
     def rank_histogram(self) -> dict[int, int]:

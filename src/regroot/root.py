@@ -12,8 +12,8 @@ numbered on one of two paths, chosen by the bytes of rows.  A small
 monoid keeps its packed rows as bytes, translates them through the
 bytes.translate table of g, looks each product up in a dict and marks
 each final by the scalar walk of accepting_transformation; a larger one
-takes all products at once from TransMonoid.right_translation, in the
-monoid's own form (`monoid` has the details), and marks the finals by
+takes every letter's row from one TransMonoid.right_translations call, in
+the monoid's own form (`monoid` has the details), and marks the finals by
 iterating q -> f(q) degree-many times over all rows at once, the one
 read of a coded monoid's rows.
 """
@@ -117,16 +117,16 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> RootAutomaton:
     """Build the automaton recognizing root(L(d)).
 
-    A precomputed transformation monoid of d may be passed to share work
-    across calls that differ only in start or final states; a monoid that
-    misses a product of an element with a letter map is a ValueError, and
-    so is a d that is not a Dfa or a monoid that is not a TransMonoid.
+    A precomputed transformation monoid of d may be passed; only its
+    closure is shared, and each call builds the table and finals anew.  A
+    monoid missing a product of an element with a letter map is a
+    ValueError, as are a d that is no Dfa and a monoid that is no TransMonoid.
 
     Two paths, chosen by the bytes of rows, len(monoid) * degree, give
     equal results.  A monoid of at most _BYTES_LIMIT bytes is built on
     Python bytes, lists and one dict (_root_few), with no numpy pass; a
-    larger one on arrays, through TransMonoid.right_translation and
-    _accepting_rows.  The crossover table is in the comment on
+    larger one on arrays, through one TransMonoid.right_translations call
+    and _accepting_rows.  The crossover table is in the comment on
     _BYTES_LIMIT.
     """
     _need_dfa(d, "root_automaton")
@@ -138,7 +138,7 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
     if len(m) * m.degree <= _BYTES_LIMIT:
         delta, finals = _root_few(m, d)
     else:
-        delta = np.array([m.right_translation(g) for g in d.delta.tolist()])
+        delta = m.right_translations(d.delta.tolist())
         finals = np.flatnonzero(_accepting_rows(m.rows, d.start, d.finals)) + 1
     return RootAutomaton(dfa=Dfa(len(m), d.alphabet, delta, 1, finals), monoid=m)
 
@@ -158,7 +158,7 @@ def _root_few(m: TransMonoid, d: Dfa) -> tuple[list[list[int]], list[int]]:
         try:
             delta.append([number[products[i : i + n]] for i in cuts])
         except KeyError:
-            m.right_translation(g)  # a product is no element: its "not closed" error
+            m.right_translations([g])  # a product is no element: its "not closed" error
             raise
     finals = frozenset(d.finals.tolist())
     return delta, [s for s, row in enumerate(rows, 1) if _reaches(row, d.start, finals)]

@@ -14,6 +14,7 @@ against the same monoid built on rows.
 
 import math
 import random
+import re
 from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
@@ -226,11 +227,22 @@ def test_coded_monoid_against_rows(seed, lookups):
                 with pytest.raises(ValueError, match="not an element"):
                     m.index_of(f)
             for g in gens:
-                assert m.right_translation(g).tolist() == rows.right_translation(g).tolist()
+                assert m.right_translations([g]).tolist() == rows.right_translations([g]).tolist()
             for g in loose:
                 with pytest.raises(ValueError, match="not closed"):
-                    m.right_translation(g)
+                    m.right_translations([g])
+            table = m.right_translations(gens)
+            assert table.tolist() == [m.right_translations([g])[0].tolist() for g in gens]
+            assert table.tolist() == rows.right_translations(gens).tolist()
+            if loose:
+                with pytest.raises(ValueError, match=re.escape(f"by {tuple(loose[0])}")):
+                    m.right_translations([*gens, *loose, *gens])
+            with pytest.raises(ValueError, match="need at least one map"):
+                m.right_translations([])
+            with pytest.raises(ValueError, match="degree mismatch"):
+                m.right_translations([gens[0], identity(n + 1)])
             assert root_automaton(d, monoid=m).dfa == root_automaton(d, monoid=rows).dfa
+            assert set(vars(m)) == {"degree", "_store", "_on_codes"}
             assert m._on_codes == (m is coded)
             assert list(m) == list(rows)
             assert m.rows.tobytes() == rows.rows.tobytes()
@@ -273,3 +285,11 @@ def test_ranks_of_ukl_on_codes(k, l):
     got = m.rank_histogram()
     assert m._on_codes and list(got) == sorted(got)
     assert got == counting._ukl_terms(k, l)
+
+
+@pytest.mark.parametrize("n", [9, 10, 255])
+def test_no_degree_past_8_reaches_the_codes(n):
+    # _image_masks builds uint8 masks, one bit an image, so image 9 would be
+    # lost and a rank come out wrong without an error: no closure of degree
+    # 9 or more may go onto codes, however wide its levels.
+    assert not any(monoid._dense_pays(n, p, 1) for p in [10**k for k in range(13)])

@@ -153,7 +153,7 @@ class TestClosure:
     def test_right_translation_refuses_another_degree(self):
         m = closure(tn_generators(3))
         with pytest.raises(ValueError, match="degree mismatch: 4 vs 3"):
-            m.right_translation(identity(4))
+            m.right_translations([identity(4)])
 
     @pytest.mark.parametrize("row", [(1, 2, 3, 1), (1, 2), (1, 2, 0), (0, 1, 2), (1, 2, 300)])
     def test_rows_of_other_shapes_are_not_members(self, row):

@@ -224,21 +224,34 @@ def test_finals_against_the_power_oracle(d):
             assert (s in ra.dfa.finals) == root_member_oracle(d, w)
 
 
-@pytest.fixture
-def dense_closures(monkeypatch):
-    # The degree of each closure that runs its wide levels on the dense map:
-    # closure asks _dense_pays about one byte per code until it says yes.
+def spy_dense_pays(monkeypatch, map_bytes: int) -> list[int]:
+    # The degree of each _dense_pays call about map_bytes bytes per code
+    # that says yes.
     calls = []
     real = monoid._dense_pays
 
     def spy(n, products, code_bytes):
         pays = real(n, products, code_bytes)
-        if pays and code_bytes == 1:
+        if pays and code_bytes == map_bytes:
             calls.append(n)
         return pays
 
     monkeypatch.setattr(monoid, "_dense_pays", spy)
     return calls
+
+
+@pytest.fixture
+def dense_closures(monkeypatch):
+    # The degree of each closure that runs its wide levels on the dense map:
+    # closure asks _dense_pays about one byte per code until it says yes.
+    return spy_dense_pays(monkeypatch, 1)
+
+
+@pytest.fixture
+def dense_lookups(monkeypatch):
+    # The degree of each lookup that gathers through the int32 number map:
+    # TransMonoid._numbers asks _dense_pays about four bytes per code.
+    return spy_dense_pays(monkeypatch, 4)
 
 
 # T_5 x C_4 on degree 9: 12,260 elements, so wide enough for the dense
@@ -262,31 +275,31 @@ DEGREE_9 = [
     ],
     ids=["T3", "T4", "T5", "T6", "U23", "degree-9"],
 )
-def test_each_side_of_the_crossover(gens, dense, dense_closures):
+def test_each_side_of_the_crossover(gens, dense, dense_closures, dense_lookups):
     m = closure(gens)
     d = replace(dfa_based_on(gens), finals={1, 2})
     ra = root_automaton(d, monoid=m)
     assert bool(dense_closures) == dense
-    assert (m._number is not None) == dense
+    assert bool(dense_lookups) == dense
     rows = reference_closure(gens)
     assert list(m) == rows
     assert ra.dfa == reference_root(d, rows)
 
 
-def test_u34_dense_against_keys(dense_closures, monkeypatch):
+def test_u34_dense_against_keys(dense_closures, dense_lookups, monkeypatch):
     # The tuple references take seconds at 607,285 elements; the key path,
     # which they check above, stands in for them.
     gens = ukl_generators(3, 4)
     m = closure(gens)
-    dense = [m.right_translation(g) for g in gens]
-    assert dense_closures == [7] and m._number is not None
+    dense = m.right_translations(gens)
+    assert dense_closures == [7] and dense_lookups == [7]
     monkeypatch.setattr(monoid, "_DENSE_BYTES", 0)
     keys = closure(gens)
     assert dense_closures == [7]
     assert keys.rows.tobytes() == m.rows.tobytes()
     for g, row in zip(gens, dense):
-        assert keys.right_translation(g).tolist() == row.tolist()
-    assert keys._number is None
+        assert keys.right_translations([g])[0].tolist() == row.tolist()
+    assert dense_lookups == [7]
 
 
 def test_cap_on_the_dense_path(dense_closures):
@@ -315,10 +328,10 @@ def test_closure_wide_from_its_first_level(dense_closures, monkeypatch):
     assert dense_closures == [5, 5, 5]
 
 
-def test_dense_translation_of_a_monoid_missing_a_product():
+def test_dense_translation_of_a_monoid_missing_a_product(dense_lookups):
     m = closure(ukl_generators(2, 3))
     with pytest.raises(ValueError, match="not closed"):
-        m.right_translation(Transformation((3, 2, 1, 4, 5)))
-    assert m._number is not None
+        m.right_translations([Transformation((3, 2, 1, 4, 5))])
+    assert dense_lookups == [5]
     with pytest.raises(ValueError, match="not closed"):
         root_automaton(dfa_based_on(tn_generators(5)), monoid=m)
