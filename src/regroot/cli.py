@@ -14,15 +14,9 @@ from pathlib import Path
 
 from .counting import _ukl_terms, best_coprime_pair, binomial, hk_lower_bound, stirling2, ukl_size_formula
 from .dfa import Dfa, minimize, parse, serialize
-from .monoid import (
-    DEFAULT_MAX_ELEMENTS,
-    closure,
-    largest_two_generated,
-    transformation_monoid,
-    ukl_generators,
-)
+from .monoid import DEFAULT_MAX_ELEMENTS, largest_two_generated, transformation_monoid, ukl_generators
 from .root import root_automaton, unary_root
-from .verify import SUITES
+from .verify import SUITES, _enumeration, _Recorder
 
 
 def _load(path: str) -> Dfa:
@@ -81,8 +75,9 @@ def cmd_ukl(args) -> int:
                     f"--enumerate is refused: the formula gives {formula} elements, "
                     f"past the closure cap of {DEFAULT_MAX_ELEMENTS}"
                 )
-            m = closure(ukl_generators(args.k, args.l))
-            agree, ranks_agree = len(m) == formula, m.rank_histogram() == _ukl_terms(args.k, args.l)
+            m, agree, ranks_agree = _enumeration(
+                _Recorder(), ukl_generators(args.k, args.l), _ukl_terms(args.k, args.l), "size", "ranks"
+            )
             payload.update(closure=len(m), agree=agree, ranks_agree=ranks_agree)
             lines += [f"closure={len(m)}", "AGREE" if agree else "DISAGREE"]
             lines.append(f"ranks={'AGREE' if ranks_agree else 'DISAGREE'}")

@@ -17,19 +17,21 @@ are 1..n <= MAX_DEGREE = 255 and never 0, so the trailing NULs numpy
 strips from ``S`` values never merge two keys.  A key is looked up by a
 binary search among the sorted keys.
 
-Codes, for n <= 8.  A row's base-n code is sum (row[i] - 1) n^(n-1-i), in
-0..n^n - 1; codes also order as the rows do lexicographically, so a coded
-monoid looks a code up by a binary search among its own.  Dense maps
-indexed by code stand in for the searches where they pay: closure's bool
-map of the codes found, and a coded monoid's int32 map from code to
-element number plus one, built for one lookup.  A generator g acts on a
-code digit by digit, so with h = ceil(n / 2) two tables give the code of
-f * g from that of f: one over the n^h values of the last h digits, one
-over the n^(n-h) values of the first n - h, 4,096 entries each at n = 8.
-Two tables of the same shape give the image set of each half as a
-bitmask, so a code's rank is the popcount of their OR.
-All four are read off one decoding of the halves (_half_rows), and codes
-become rows through dfa._digits, the digit loop of the decimal writer.
+Codes, for the degrees whose dense maps fit a byte budget: n <= 8 as
+shipped, and at most 9, the largest degree whose codes an int32 holds.  A
+row's base-n code is sum (row[i] - 1) n^(n-1-i), in 0..n^n - 1; codes
+also order as the rows do lexicographically, so a coded monoid looks a
+code up by a binary search among its own.  Dense maps indexed by code
+stand in for the searches where they pay: closure's bool map of the codes
+found, and a coded monoid's int32 map from code to element number plus
+one, built for one lookup.  A generator g acts on a code digit by digit,
+so with h = ceil(n / 2) two tables give the code of f * g from that of f:
+one over the n^h values of the last h digits, one over the n^(n-h) values
+of the first n - h, 4,096 entries each at n = 8.  Two tables of the same
+shape give the image set of each half as a 16-bit mask, so a code's rank
+is the popcount of their OR.  All four are read off one decoding of
+the halves (_half_rows), and codes become rows through dfa._digits, the
+digit loop of the decimal writer.
 
 The closure of a generator set is one breadth-first loop, a level at a
 time, on one of two representations.  Narrow levels are packed rows: the
@@ -66,9 +68,12 @@ from .transform import Transformation, _as_int, cycle_pair, identity
 DEFAULT_MAX_ELEMENTS = 2_000_000
 LARGEST2_MAX_N = 4
 
-# Dense maps over the n^n base-n codes may take _DENSE_BYTES together: n^n
-# for closure's bool map and 4 n^n for the int32 number map of a lookup, so
-# n <= 8; larger degrees always keep the set of keys and the key search.
+# A dense map over the n^n base-n codes may take _DENSE_BYTES: n^n for
+# closure's bool map, 4 n^n for the int32 number map of a lookup; the two
+# never exist at once.  So both run up to n = 8, and larger degrees keep the
+# set of keys and the key search.  A budget of 9^9 bytes or more puts n = 9
+# closures on codes; no budget puts n >= 10 there, whose codes overflow an
+# int32.
 # A pass over p products (a closure level, a table of right translations)
 # runs on a map of b bytes when p > _DENSE_WIDTH + b // _DENSE_SPREAD:
 # numpy's fixed cost per pass is worth _DENSE_WIDTH products on keys, and
@@ -249,9 +254,8 @@ def _table(g: Transformation) -> bytes:
 def _dense_pays(n: int, products: int, code_bytes: int) -> bool:
     # Whether a pass over this many products of degree n runs on a dense
     # map of code_bytes bytes per code.
-    if 5 * n**n > _DENSE_BYTES:
-        return False
-    return products > _DENSE_WIDTH + code_bytes * n**n // _DENSE_SPREAD
+    size = code_bytes * n**n
+    return n <= 9 and size <= _DENSE_BYTES and products > _DENSE_WIDTH + size // _DENSE_SPREAD
 
 
 def _one_degree(maps, empty: str) -> tuple[list[Transformation], int]:
@@ -368,12 +372,13 @@ def _split(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _rank_counts(codes: np.ndarray, n: int) -> list[int]:
     # The count of the codes of each rank 0..n.  The image set of a code's
-    # last h digits is a bitmask, bit v - 1 for image v, read from a table
-    # over the n^h values of lo; that of its first n - h digits from one
-    # over the n^(n-h) values of hi, both read off _half_rows.  The codes
-    # are counted by the OR of their two masks, and the 2^n masks by their
-    # popcounts.  Blocks of _RANK_BLOCK codes keep the temporaries small:
-    # at T_8 closure and ranks peak at 282 MB RSS, against 394 MB in one pass.
+    # last h digits is a 16-bit mask (_image_masks), bit v - 1 for image
+    # v, read from a table over the n^h values of lo; that of its first
+    # n - h digits from one over the n^(n-h) values of hi, both read off
+    # _half_rows.  The codes are counted by the OR of their two masks, and
+    # the 2^n masks by their popcounts.  Blocks of _RANK_BLOCK codes keep
+    # the temporaries small: at T_8 closure and ranks peak at 282 MB RSS,
+    # against 394 MB in one pass.
     h = (n + 1) // 2
     high_rows, low_rows = _half_rows(n)
     high = _image_masks(high_rows[:, : n - h])
@@ -391,8 +396,8 @@ def _rank_counts(codes: np.ndarray, n: int) -> list[int]:
 
 
 def _image_masks(rows: np.ndarray) -> np.ndarray:
-    # The image set of each row of images 1..8 at most, bit v - 1 for v.
-    return np.bitwise_or.reduce(np.uint8(1) << (rows - 1), axis=1)
+    # The image set of each row of images 1..9 at most, bit v - 1 for v.
+    return np.bitwise_or.reduce(np.uint16(1) << (rows - 1), axis=1)
 
 
 def _unpack(packed: bytes, n: int) -> np.ndarray:

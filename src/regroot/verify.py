@@ -13,7 +13,7 @@ import math
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -44,13 +44,7 @@ class Case:
     seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "expected": self.expected,
-            "measured": self.measured,
-            "seconds": round(self.seconds, 6),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 6)}
 
 
 @dataclass(frozen=True)
@@ -128,10 +122,18 @@ _budget_gap = partial(_check_range, "gap suite", "max_n", lo=7, hi=100)
 _budget_lower_bound = partial(_check_range, "lower-bound suite", "max_n", lo=7, hi=HK_MAX_N)
 
 
-def _rank_profile(rec: _Recorder, name: str, m, ranks: dict[int, int]) -> None:
-    # The elements of m of each rank against the expected counts.
+def _enumeration(rec: _Recorder, gens, ranks: dict[int, int], size_case: str, rank_case: str):
+    # M = <gens> by one closure, its size and its count of each rank
+    # recorded against ranks, the expected counts, under the names given;
+    # returns M and whether each of the two agrees.
+    m = closure(gens)
+    size = sum(ranks.values())
+    size_ok = len(m) == size
+    rec.add(size_case, size_ok, size, len(m))
     measured = m.rank_histogram()
-    rec.add(name, measured == ranks, ranks, measured)
+    ranks_ok = measured == ranks
+    rec.add(rank_case, ranks_ok, ranks, measured)
+    return m, size_ok, ranks_ok
 
 
 def _merge_report(suite: str, params: dict, gens, ranks: dict[int, int]) -> VerifyReport:
@@ -146,16 +148,13 @@ def _merge_report(suite: str, params: dict, gens, ranks: dict[int, int]) -> Veri
     other class must be a singleton.
     """
     rec = _Recorder()
-    m = closure(gens)
-    size = sum(ranks.values())
-    rec.add("monoid-size-vs-formula", len(m) == size, size, len(m))
-    _rank_profile(rec, "rank-profile-vs-formula", m, ranks)
+    m, _, _ = _enumeration(rec, gens, ranks, "monoid-size-vs-formula", "rank-profile-vs-formula")
 
     ra = root_automaton(dfa_based_on(gens), monoid=m)
     states, cls = nerode_partition(ra.dfa)
     sizes = np.bincount(cls)
     want_pairs = binomial(m.degree, 2)
-    want = size - want_pairs
+    want = sum(ranks.values()) - want_pairs
     rec.add("root-state-complexity", len(sizes) == want, want, len(sizes))
 
     two = np.flatnonzero(sizes[cls] == 2)
@@ -288,16 +287,6 @@ def _set_partition_count(n: int, k: int) -> int:
     return surj // math.factorial(k)
 
 
-def _formula_vs_enumeration(rec: _Recorder, k: int, l: int) -> int:
-    # |U_{k,l}| and its elements of each rank, by closure against the formula.
-    m = closure(ukl_generators(k, l))
-    ranks = _ukl_terms(k, l)
-    formula = sum(ranks.values())
-    rec.add(f"formula-vs-enumeration-({k},{l})", len(m) == formula, formula, len(m))
-    _rank_profile(rec, f"rank-profile-vs-formula-({k},{l})", m, ranks)
-    return len(m)
-
-
 def suite_counting() -> VerifyReport:
     """Counting layer: recurrences, identities, and formula-vs-enumeration."""
     rec = _Recorder()
@@ -329,7 +318,8 @@ def suite_counting() -> VerifyReport:
     )
     rec.add("function-count-identity", ok, "sum C(m,i) i! S(n,i) == m^n, n,m <= 12", "holds" if ok else "fails")
 
-    _formula_vs_enumeration(rec, 3, 2)
+    _enumeration(rec, ukl_generators(3, 2), _ukl_terms(3, 2),
+                 "formula-vs-enumeration-(3,2)", "rank-profile-vs-formula-(3,2)")
 
     ok = all(
         ukl_size_formula(k, l) <= (k + l) ** (k + l)
@@ -348,7 +338,12 @@ def suite_gap(max_n: int = 40) -> VerifyReport:
     worst = min(ukl_gap(n) - binomial(n, 2) for n in range(7, max_n + 1))
     rec.add("gap-at-least-binom", worst >= 0, f"gap - C(n,2) >= 0 for 7 <= n <= {max_n}", f"min margin {worst}")
 
-    enum_gap = _formula_vs_enumeration(rec, 2, 5) - _formula_vs_enumeration(rec, 5, 2)
+    big, small = (
+        len(_enumeration(rec, ukl_generators(k, l), _ukl_terms(k, l),
+                         f"formula-vs-enumeration-({k},{l})", f"rank-profile-vs-formula-({k},{l})")[0])
+        for k, l in [(2, 5), (5, 2)]
+    )
+    enum_gap = big - small
     rec.add("enumeration-crosscheck-n=7", enum_gap == ukl_gap(7), ukl_gap(7), enum_gap)
     return rec.report("gap", {"max_n": max_n})
 

@@ -217,8 +217,8 @@ class TestUkl:
 
     def test_enumeration_that_disagrees_fails(self, monkeypatch, capsys):
         # The closure of the double cycle alone: its 6 powers, not |U_{2,3}|.
-        full = cli.closure
-        monkeypatch.setattr(cli, "closure", lambda gens: full(gens[:1]))
+        full = verify.closure
+        monkeypatch.setattr(verify, "closure", lambda gens: full(gens[:1]))
         assert main(["ukl", "-k", "2", "-l", "3", "--enumerate"]) == 1
         assert capsys.readouterr().out == "formula=1857\nclosure=6\nDISAGREE\nranks=DISAGREE\n"
         assert main(["ukl", "-k", "2", "-l", "3", "--enumerate", "--json"]) == 1
@@ -245,7 +245,7 @@ class TestUkl:
         def refuse(gens):
             raise AssertionError("closure called")
 
-        monkeypatch.setattr(cli, "closure", refuse)
+        monkeypatch.setattr(verify, "closure", refuse)
         assert main(["ukl", "-k", str(k), "-l", str(l), "--enumerate"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

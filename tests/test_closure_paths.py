@@ -289,7 +289,27 @@ def test_ranks_of_ukl_on_codes(k, l):
 
 @pytest.mark.parametrize("n", [9, 10, 255])
 def test_no_degree_past_8_reaches_the_codes(n):
-    # _image_masks builds uint8 masks, one bit an image, so image 9 would be
-    # lost and a rank come out wrong without an error: no closure of degree
-    # 9 or more may go onto codes, however wide its levels.
+    # Closure's bool map of degree 9, 9^9 bytes, is past the memory budget
+    # of _DENSE_BYTES as shipped: no closure of degree 9 or more goes onto
+    # codes, however wide its levels.
     assert not any(monoid._dense_pays(n, p, 1) for p in [10**k for k in range(13)])
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 255])
+def test_no_budget_puts_degree_10_on_the_codes(n):
+    # Degree 9 is the last whose codes an int32 holds: with every map within
+    # the budget and any pass wide enough, degree 10 and up still keep keys.
+    with patch.multiple(monoid, _DENSE_WIDTH=-1, _DENSE_SPREAD=10**1000, _DENSE_BYTES=10**1000):
+        for p in (0, 10**6):
+            for b in (1, 4):
+                assert monoid._dense_pays(n, p, b) == (n <= 9)
+
+
+@pytest.mark.parametrize("code_bytes", [1, 4])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_as_shipped_both_maps_run_up_to_degree_8(n, code_bytes):
+    # Each map fits _DENSE_BYTES as shipped up to n = 8, the int32 number map
+    # too (4 * 8^8 bytes), so closure and lookups switch at the same degrees.
+    edge = monoid._DENSE_WIDTH + code_bytes * n**n // monoid._DENSE_SPREAD
+    for p in (edge - 1, edge, edge + 1):
+        assert monoid._dense_pays(n, p, code_bytes) == (n <= 8 and p > edge)

@@ -264,6 +264,33 @@ DEGREE_9 = [
 
 
 @pytest.mark.parametrize(
+    "gens",
+    [
+        [Transformation([*range(2, 10), 1])],
+        [Transformation([2, 1, *range(3, 10)]), Transformation([1, 1, *range(3, 10)])],
+    ],
+    ids=["9-cycle", "swap-and-merge"],
+)
+def test_degree_9_on_codes_against_keys(gens, dense_lookups, monkeypatch):
+    # Forced onto codes from the first level, with a byte budget past
+    # closure's 9^9-byte bool map but short of a lookup's 4 * 9^9-byte
+    # number map, so the right translations search the codes.  Image 9 is
+    # bit 8 of a rank mask, past a uint8.
+    d = dfa_based_on(gens)
+    keys = closure(gens)
+    for name, value in {"_DENSE_WIDTH": -1, "_DENSE_SPREAD": 10**18, "_DENSE_BYTES": 4 * 10**8}.items():
+        monkeypatch.setattr(monoid, name, value)
+    m = closure(gens)
+    assert m._on_codes and not keys._on_codes
+    assert m.rank_histogram() == keys.rank_histogram()
+    want = root_automaton(d, monoid=keys).dfa
+    assert root_automaton(d, monoid=m).dfa == want
+    with on_arrays():
+        assert root_automaton(d, monoid=m).dfa == want
+    assert dense_lookups == []
+
+
+@pytest.mark.parametrize(
     "gens, dense",
     [
         (tn_generators(3), False),
