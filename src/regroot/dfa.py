@@ -27,9 +27,9 @@ its final states as a read-only, sorted, duplicate-free int32 array, so an
 automaton of 10^7 states goes from the root construction through
 minimize to the text format without a Python int per transition.  The
 text format is read and written on arrays too: serialize writes a row of
-64 or more states from a matrix of digits, and parse reads the integers of
-an ASCII line of 768 or more characters from its bytes, with no str or
-Python int per state.
+64 or more states from a matrix of digits, at most 2^16 states at a time,
+and parse reads the integers of an ASCII line of 768 or more characters
+from its bytes, with no str or Python int per state.
 """
 
 from __future__ import annotations
@@ -349,17 +349,28 @@ def serialize(d: Dfa) -> str:
     # One join of all the pieces, so that each long row is copied once.
     parts = [f"states {d.n}\nalphabet {' '.join(d.alphabet)}\nstart {d.start}\nfinals"]
     if len(d.finals):
-        parts += [" ", _decimal(d.finals)]
+        parts += _blocks(d.finals)
     for a, row in zip(d.alphabet, d.delta):
-        parts += ["\ntrans ", a, " ", _decimal(row)]
+        parts += ["\ntrans ", a, *_blocks(row)]
     parts.append("\n")
     return "".join(parts)
+
+
+def _blocks(states: np.ndarray) -> list[str]:
+    # A space before the text of each block of 2^16 states, so that no
+    # temporary of _decimal spans a longer row.  A row of one block skips
+    # the loop, which costs the many small DFAs about 1 us a row.
+    if len(states) <= 1 << 16:
+        return [" ", _decimal(states)]
+    return [s for i in range(0, len(states), 1 << 16) for s in (" ", _decimal(states[i : i + (1 << 16)]))]
 
 
 def _decimal(states: np.ndarray) -> str:
     # The positive integers of a 1-D array in decimal, space separated.  A
     # big array is a matrix of one state per line, its digits (_digits) and
     # a space, with the leading zeros masked out of the bytes it joins.
+    # serialize passes a long row in blocks (_blocks), so the matrix, the
+    # mask and the text are each at most 2^16 states long.
     if len(states) < _FEW:
         return " ".join(map(str, states.tolist()))
     width = len(str(states.max()))
@@ -473,7 +484,7 @@ def _sorted_runs(key: np.ndarray, bound: int, kind: str | None) -> tuple[np.ndar
     # equal keys get the same rank wherever they fall.
     bits = key.size.bit_length()
     if bound <= _KEY_LIMIT >> bits:
-        ranked = np.left_shift(key, bits, dtype=np.int64)
+        ranked = key.astype(np.int64, copy=False) << bits
         ranked |= np.arange(key.size)
         ranked.sort()
         order = ranked & ((1 << bits) - 1)
@@ -499,22 +510,28 @@ def _dense_rank(key: np.ndarray, bound: int) -> np.ndarray:
     # np.unique, which dominates on the tiny arrays of small DFAs.
     order, starts = _sorted_runs(key, bound, None)
     starts[:1] = False  # the first run is rank 0
-    rank = np.empty(key.size, dtype=np.int64)
-    rank[order] = starts.cumsum()
+    rank = np.empty(key.size, dtype=np.int32)
+    rank[order] = np.add.accumulate(starts, dtype=np.int32)
     return rank
 
 
 def _signature_classes(succ: np.ndarray, fin: np.ndarray) -> tuple[np.ndarray, int]:
     # Moore's partition P_depth as class ids 0..ncls-1, and depth, from the
-    # rank of one packed signature per state (see _partition).  sig is
+    # rank of one packed signature per state (see _partition).  A step
+    # builds the wider signature in the buffer of the one before last, and
+    # gathers and shifts each letter's field in one more.  All three are
     # freed on return, before the rounds reach their peak memory.
     sig, width, depth = fin.astype(np.int64), 1, 0
     packs = _KEY_LIMIT >> fin.size.bit_length()
+    wider, field = np.empty_like(sig), np.empty_like(sig)
     while depth < fin.size - 2 and 1 << (1 + len(succ) * width) <= packs:
-        wider = fin.astype(np.int64)
+        np.copyto(wider, fin)
         for j, s in enumerate(succ):
-            wider |= sig[s] << (1 + j * width)
-        sig, width, depth = wider, 1 + len(succ) * width, depth + 1
+            sig.take(s, out=field, mode="wrap")
+            field <<= 1 + j * width
+            wider |= field
+        sig, wider, width, depth = wider, sig, 1 + len(succ) * width, depth + 1
+    del wider, field
     return _dense_rank(sig, 1 << width), depth
 
 
@@ -582,43 +599,65 @@ def _partition(d: Dfa) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, 
     included, but the partition it ends with does not: it is the Nerode
     partition.  Last, reps are the sorted first positions of the ids in
     cls, and a scatter of 0..ncls-1 to cls[reps] renumbers the classes in
-    that order, which depends on the partition alone.
+    that order, in place, which depends on the partition alone.
+
+    Memory.  Every per-state value is below the state count, so states,
+    pos, succ, cls, the ids and the ranks of _dense_rank are int32, as
+    d.delta is; only the packed signatures and keys are int64, since they
+    pack several fields or a position.  Keys fold in place, the signature
+    pass gathers its shifted fields into one reused buffer, and live and
+    free are freed before the renumbering.  An int32 index is gathered
+    through take(..., mode="wrap"): fancy indexing with it, or take in the
+    default mode, pays a buffered cast on every call, which the tiny
+    arrays of small DFAs feel.  An index read several times is cast to
+    intp once.
     """
     states = np.concatenate(_reachable(d))
-    pos = np.zeros(d.n + 1, dtype=np.int64)
-    pos[states] = np.arange(len(states))
-    succ = pos[d.delta.take(states - 1, axis=1)]
+    pos = np.zeros(d.n + 1, dtype=np.int32)
+    pos[states] = np.arange(len(states), dtype=np.int32)
+    succ = d.delta.take(states - 1, axis=1, mode="wrap")
+    pos.take(succ, out=succ, mode="wrap")
     del pos
     fin = np.zeros(d.n + 1, dtype=bool)
     fin[d.finals.astype(np.intp)] = True  # int32 indices assign slowly
     fin = fin[states]
+    states = states.astype(np.int32)
     cls, depth = _signature_classes(succ, fin)
     ncls = int(cls.max()) + 1
-    counts = np.bincount(cls)
-    live, free = np.flatnonzero(counts[cls] > 1), np.flatnonzero(counts > 1)
-    del counts
+    many = np.bincount(cls, minlength=ncls) > 1
+    live, free = np.flatnonzero(many.take(cls, mode="wrap")), np.flatnonzero(many)
+    del many
     while ncls > 1 and live.size and depth < len(states) - 2:
         depth += 1
         top = _KEY_LIMIT >> live.size.bit_length()
         key, bound = fin[live].astype(np.int64), 2
+        gathered = np.empty(live.size, dtype=np.int32)
         for row in succ:
             if bound > top // ncls:
-                key, bound = _dense_rank(key, bound), live.size
-            key, bound = key * ncls + cls[row.take(live)], bound * ncls
+                key[:], bound = _dense_rank(key, bound), live.size
+            row.take(live, out=gathered, mode="wrap")
+            cls.take(gathered, out=gathered, mode="wrap")
+            key *= ncls
+            key += gathered
+            bound *= ncls
+        del gathered
         key = _dense_rank(key, bound)
         pieces = int(key.max()) + 1
         if pieces == free.size:
             break
-        ids = np.concatenate((free, np.arange(ncls, ncls + pieces - free.size)))
+        key = key.astype(np.intp)  # one cast for the three reads below
+        ids = np.concatenate((free, np.arange(ncls, ncls + pieces - free.size)), dtype=np.int32)
         ncls += pieces - free.size
         cls[live] = ids[key]
-        counts = np.bincount(key)
-        live, free = live[counts[key] > 1], ids[counts > 1]
-        del counts
+        many = np.bincount(key) > 1
+        live, free = live[many[key]], ids[many]
+        del many
+    del live, free
     reps = np.sort(_first_index(cls, ncls))
-    number = np.empty(ncls, dtype=np.int64)
-    number[cls[reps]] = np.arange(ncls)
-    return states, succ, fin, number[cls], reps
+    number = np.empty(ncls, dtype=np.int32)
+    number[cls[reps].astype(np.intp)] = np.arange(ncls, dtype=np.int32)  # int32 indices assign slowly
+    number.take(cls, out=cls, mode="wrap")
+    return states, succ, fin, cls, reps
 
 
 def _tables(*dfas: Dfa) -> tuple[list[list[int]], bytearray]:
@@ -726,13 +765,17 @@ def minimize(d: Dfa) -> Dfa:
     if d.delta.size <= _LIST_LIMIT:
         return _minimize_few(d)
     _, succ, fin, cls, reps = _partition(d)
-    return Dfa(len(reps), d.alphabet, cls[succ.take(reps, axis=1)] + 1, 1, np.flatnonzero(fin[reps]) + 1)
+    delta = succ.take(reps, axis=1, mode="wrap")
+    cls.take(delta, out=delta, mode="wrap")
+    delta += 1
+    return Dfa(len(reps), d.alphabet, delta, 1, np.flatnonzero(fin[reps]) + 1)
 
 
 def nerode_partition(d: Dfa) -> tuple[np.ndarray, np.ndarray]:
     """The reachable states in first-reach order, and the class of each.
 
-    State states[i] of d becomes state cls[i] + 1 of minimize(d).
+    State states[i] of d becomes state cls[i] + 1 of minimize(d).  Both
+    arrays are int32.
     """
     _need_dfa(d, "nerode_partition")
     states, _, _, cls, _ = _partition(d)

@@ -110,7 +110,8 @@ _DENSE_BYTES = 100_000_000
 _DENSE_WIDTH = 512
 _DENSE_SPREAD = 2048
 
-# rank_histogram reads a coded monoid's ranks this many codes at a time.
+# rank_histogram reads a coded monoid's ranks, and root_automaton any
+# monoid's finals, this many elements at a time.
 _RANK_BLOCK = 1 << 16
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -146,6 +147,11 @@ class TransMonoid:
         rows = _decode(self._store, self.degree)
         rows.flags.writeable = False
         return rows
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        # The rows of elements start..stop - 1, a coded monoid's decoded anew.
+        part = self._store[start:stop]
+        return _decode(part, self.degree) if self._on_codes else part
 
     def __len__(self) -> int:
         return len(self._store)
@@ -315,11 +321,17 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
         rest = np.sort(np.frombuffer(b"".join(seen), key))
         return TransMonoid(np.frombuffer(ident + rest.tobytes(), np.uint8).reshape(-1, n), n)
     # The identity's code first, then the others in order, which the monoid
-    # keeps: no row is decoded here.
+    # keeps: no row is decoded here.  The map is read in slices of 2^20
+    # codes, so that no int64 array of every code is built.
     codes = np.empty(size, np.int32)
     codes[:1] = _codes(_unpack(ident, n))
     known[codes[0]] = False
-    codes[1:] = np.flatnonzero(known)
+    end = 1
+    for start in range(0, len(known), 1 << 20):
+        found = np.flatnonzero(known[start : start + (1 << 20)])
+        found += start
+        codes[end : end + len(found)] = found
+        end += len(found)
     return TransMonoid(codes, n)
 
 

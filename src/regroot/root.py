@@ -14,8 +14,8 @@ bytes.translate table of g, looks each product up in a dict and marks
 each final by the scalar walk of accepting_transformation; a larger one
 takes every letter's row from one TransMonoid.right_translations call, in
 the monoid's own form (`monoid` has the details), and marks the finals by
-iterating q -> f(q) degree-many times over all rows at once, the one
-read of a coded monoid's rows.
+iterating q -> f(q) degree-many times over _RANK_BLOCK rows at a time,
+decoding only that block of a coded monoid's codes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfa import Dfa, _need_dfa, _unary_chain, accepts, chain_dfa, minimize
-from .monoid import DEFAULT_MAX_ELEMENTS, TransMonoid, _table, transformation_monoid
+from .monoid import _RANK_BLOCK, DEFAULT_MAX_ELEMENTS, TransMonoid, _table, transformation_monoid
 from .transform import Transformation, _as_int
 
 
@@ -126,8 +126,8 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
     equal results.  A monoid of at most _BYTES_LIMIT bytes is built on
     Python bytes, lists and one dict (_root_few), with no numpy pass; a
     larger one on arrays, through one TransMonoid.right_translations call
-    and _accepting_rows.  The crossover table is in the comment on
-    _BYTES_LIMIT.
+    and _accepting_rows on blocks of _RANK_BLOCK rows.  The crossover table
+    is in the comment on _BYTES_LIMIT.
     """
     _need_dfa(d, "root_automaton")
     if monoid is not None and not isinstance(monoid, TransMonoid):
@@ -139,7 +139,11 @@ def root_automaton(d: Dfa, *, monoid: TransMonoid | None = None,
         delta, finals = _root_few(m, d)
     else:
         delta = m.right_translations(d.delta.tolist())
-        finals = np.flatnonzero(_accepting_rows(m.rows, d.start, d.finals)) + 1
+        hit = np.empty(len(m), dtype=bool)
+        for start in range(0, len(m), _RANK_BLOCK):
+            rows = m._rows(start, start + _RANK_BLOCK)
+            hit[start : start + len(rows)] = _accepting_rows(rows, d.start, d.finals)
+        finals = np.flatnonzero(hit) + 1
     return RootAutomaton(dfa=Dfa(len(m), d.alphabet, delta, 1, finals), monoid=m)
 
 

@@ -252,7 +252,8 @@ def test_coded_monoid_against_rows(seed, lookups):
 def test_coded_monoid_decodes_no_element():
     # Counting U_{2,5}, its ranks, element(i) and index_of decode no code of
     # the monoid, only code tables of at most 7^4 codes; its root automaton
-    # decodes the whole monoid once, for the finals, and leaves it coded.
+    # decodes the monoid once, for the finals, a block of _RANK_BLOCK codes
+    # at a time, and leaves it coded.
     gens = ukl_generators(2, 5)
     m = closure(gens)
     with patch.object(monoid, "_decode", wraps=monoid._decode) as spy:
@@ -264,7 +265,10 @@ def test_coded_monoid_decodes_no_element():
     assert ra.monoid is m and ra.dfa.n == len(m) and m._on_codes
     decoded = [call.args[0] for call in spy.call_args_list]
     assert all(len(codes) <= 7**4 and not np.shares_memory(codes, m._store) for codes in decoded[:tables])
-    assert [len(codes) for codes in decoded[tables:] if len(codes) > 7**4] == [len(m)]
+    blocks = [codes for codes in decoded[tables:] if np.shares_memory(codes, m._store)]
+    assert all(len(codes) <= 7**4 for codes in decoded[tables:] if not np.shares_memory(codes, m._store))
+    assert [len(codes) for codes in blocks] == [min(monoid._RANK_BLOCK, len(m) - s) for s in range(0, len(m), monoid._RANK_BLOCK)]
+    assert np.array_equal(np.concatenate(blocks), m._store)
 
 
 # The rank histogram of a coded monoid, whose rows stay undecoded, ranks

@@ -93,3 +93,21 @@ import regroot
 print(regroot._keep_freed_memory(), regroot.minimize(regroot.dfa_based_on(regroot.ukl_generators(2, 3))).n)
 """
     assert _fresh(code).split() == ["False", "5"]
+
+
+@glibc_only
+def test_minimize_of_the_u34_root_dfa_raises_the_peak_by_under_24_mb():
+    # The refinement keeps its per-state arrays in int32 and only the packed
+    # keys in int64, so minimize of the 607,285-state U_{3,4} root DFA adds
+    # under 24 MB to the peak RSS that root_automaton leaves in a fresh
+    # process; with every array in int64 it added 33 MB.
+    code = """
+import resource
+from regroot import dfa_based_on, minimize, root_automaton, ukl_generators
+dfa = root_automaton(dfa_based_on(ukl_generators(3, 4))).dfa
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert minimize(dfa).n == 607_264
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    rise = int(_fresh(code)) / 1024  # ru_maxrss is in KiB on Linux
+    assert rise < 24, f"minimize raised the peak RSS by {rise:.1f} MB"

@@ -63,6 +63,24 @@ class TestDecimal:
         assert parse(text) == d
 
 
+    @pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_long_rows_in_blocks(self, size):
+        # serialize writes a row in blocks of 2^16 states.  Rows of either
+        # side of one block and past three, with states of every width up to
+        # the row's own, and a first block of one digit, narrower than the
+        # next; the finals, every third state, are a row past one block too.
+        rng = np.random.default_rng(size)
+        mixed = np.minimum(rng.integers(1, 10, size) * 10 ** rng.integers(0, len(str(size)), size), size)
+        narrow = rng.integers(1, size + 1, size)
+        narrow[: 2**16] = rng.integers(1, 10, min(size, 2**16))
+        d = Dfa(size, ("a", "b"), [mixed, narrow], 1, range(1, size + 1, 3))
+        text = serialize(d)
+        assert parse(text) == d
+        lines = text.splitlines()
+        assert lines[3] == "finals " + _joined(d.finals)
+        assert lines[4:] == ["trans a " + _joined(d.delta[0]), "trans b " + _joined(d.delta[1])]
+
+
 def _outcome(text, long_line):
     # parse with the array reader from long_line characters: the Dfa, or
     # the message and line of its error.
