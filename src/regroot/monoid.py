@@ -62,7 +62,7 @@ import itertools
 import numpy as np
 
 from .counting import _check_kl
-from .dfa import Dfa, _digits, _need_dfa
+from .dfa import _RANK_BLOCK, Dfa, _digits, _need_dfa, _unseen
 from .transform import Transformation, _as_int, cycle_pair, identity
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
@@ -75,9 +75,10 @@ LARGEST2_MAX_N = 4
 # closures on codes; no budget puts n >= 10 there, whose codes overflow an
 # int32.
 # A pass over p products (a closure level, a table of right translations)
-# runs on a map of b bytes when p > _DENSE_WIDTH + b // _DENSE_SPREAD:
-# numpy's fixed cost per pass is worth _DENSE_WIDTH products on keys, and
-# the map's zeroed pages about one product per _DENSE_SPREAD bytes.
+# runs on a map of b bytes when p > _DENSE_WIDTH + b // spread: numpy's
+# fixed cost per pass is worth _DENSE_WIDTH products on keys, and the map's
+# zeroed pages about one product per spread bytes, _DENSE_SPREAD for
+# closure's bool map and _NUMBER_SPREAD for the number map.
 #
 # Closure time in us, median over 8 random generator sets per row (1-3
 # maps, each a permutation or a map into 1..n of the points; best of 5 on
@@ -101,18 +102,43 @@ LARGEST2_MAX_N = 4
 #
 # A switch at 256 products was within the noise of the shipped rule at
 # n = 5..7.  At n = 8 one at about 2,048 products would halve the closures
-# of 12,000 elements and more, but _DENSE_SPREAD also sets the switch of the
-# int32 number map, near 33,000 products at n = 8, so both constants stay,
-# though there a 64 MiB map built per lookup lost to the search on two
-# letters' tables of 20,160 and 154,188 elements: 11.9 against 1.9 ms and
-# 20.6 against 16.4 ms (best of 21 on one pinned core).
+# of 12,000 elements and more.
+#
+# The int32 number map of a lookup has its own price, one product per
+# _NUMBER_SPREAD bytes.  Its 64 MiB at n = 8 are past the 32 MiB mmap
+# threshold that importing regroot sets, so each lookup maps fresh pages and
+# the kernel zeroes every page the scatter touches; a smaller map is zeroed
+# in the heap.  Lookup time in ms, map against search, on the products of
+# each monoid's generators, repeated to the count given (best of 7, one
+# pinned core):
+#
+#   n  monoid (elements)      products    map / search   switch, 2048 -> 128
+#   5  U_{2,3} (1,857)             250   0.03 / 0.05          518 -> 609
+#                                2,000   0.04 / 0.11
+#   6  S_6 (720)                   250   0.05 / 0.06          603 -> 1,970
+#                                2,000   0.06 / 0.09
+#   7  S_7 (5,040)               8,000   0.28 / 0.26        2,120 -> 26,247
+#                               16,000   0.34 / 0.43
+#      T_6 on 7 points (46,656) 16,000   0.47 / 0.42
+#                               32,000   0.48 / 0.78
+#   8  A_8 (20,160)             80,000   8.9 / 2.1         33,280 -> 524,800
+#                              320,000  10.1 / 8.6
+#                              480,000  10.4 / 12.7
+#      S_8 (40,320)            480,000  12.3 / 11.2
+#                              640,000  12.1 / 15.0
+#      U_{3,4} on 8 points     480,000  15.1 / 13.7
+#        (607,285)             640,000  17.0 / 18.7
+#
+# One price cannot fit both sides of the mmap threshold.  128 puts n = 8 at
+# its crossover, 400,000-640,000 products, where a wrong choice costs up to
+# 9 ms a lookup; n = 6 and 7 then search up to 0.2 ms too long a lookup
+# between their crossovers, below 250 and at 8,000-32,000 products, and
+# their new switches.  A_8's and S_8's root automata (40,320 and 80,640 products)
+# now search, and U_{3,4}'s (1,214,570 at n = 7) still takes the map.
 _DENSE_BYTES = 100_000_000
 _DENSE_WIDTH = 512
 _DENSE_SPREAD = 2048
-
-# rank_histogram reads a coded monoid's ranks, and root_automaton any
-# monoid's finals, this many elements at a time.
-_RANK_BLOCK = 1 << 16
+_NUMBER_SPREAD = 128
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -259,9 +285,11 @@ def _table(g: Transformation) -> bytes:
 
 def _dense_pays(n: int, products: int, code_bytes: int) -> bool:
     # Whether a pass over this many products of degree n runs on a dense
-    # map of code_bytes bytes per code.
+    # map of code_bytes bytes per code: closure's bool map (1) or the int32
+    # number map (4).
     size = code_bytes * n**n
-    return n <= 9 and size <= _DENSE_BYTES and products > _DENSE_WIDTH + size // _DENSE_SPREAD
+    spread = _DENSE_SPREAD if code_bytes == 1 else _NUMBER_SPREAD
+    return n <= 9 and size <= _DENSE_BYTES and products > _DENSE_WIDTH + size // spread
 
 
 def _one_degree(maps, empty: str) -> tuple[list[Transformation], int]:
@@ -306,8 +334,17 @@ def closure(gens, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> TransMonoid:
             seen |= fresh
             frontier = b"".join(fresh)
         else:
-            codes = _products(frontier, halves, n)
-            fresh = np.sort(codes[~known[codes]])  # np.unique is far slower
+            # The products not yet found are selected by index and moved to
+            # the front of the products (dfa._unseen), sorted there and
+            # deduplicated into the next frontier, as np.unique is far
+            # slower.  No other name holds the products, so they are freed
+            # with the level: closing T_8 and reading its ranks peaked at
+            # 135 MB, against 145 MB with a sorted copy and the products
+            # kept until the next level.  Nearly every sorted code is a
+            # first occurrence, and so dense a mask selects faster as a
+            # boolean index.
+            fresh = _unseen(_products(frontier, halves, n), known)
+            fresh.sort()
             first = np.ones(len(fresh), bool)
             first[1:] = fresh[1:] != fresh[:-1]
             fresh = fresh[first]

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfa import Dfa, _need_dfa, _unary_chain, accepts, chain_dfa, minimize
-from .monoid import _RANK_BLOCK, DEFAULT_MAX_ELEMENTS, TransMonoid, _table, transformation_monoid
+from .dfa import _RANK_BLOCK, Dfa, _need_dfa, _unary_chain, accepts, chain_dfa, minimize
+from .monoid import DEFAULT_MAX_ELEMENTS, TransMonoid, _table, transformation_monoid
 from .transform import Transformation, _as_int
 
 

@@ -52,6 +52,7 @@ def on_path(path: str):
         if path == "codes":
             stack.enter_context(patch.object(monoid, "_DENSE_WIDTH", -1))
             stack.enter_context(patch.object(monoid, "_DENSE_SPREAD", 10**18))
+            stack.enter_context(patch.object(monoid, "_NUMBER_SPREAD", 10**18))
         else:
             stack.enter_context(patch.object(monoid, "_DENSE_BYTES", 0))
         yield stack.enter_context(patch.object(monoid, "_halves", wraps=monoid._halves))
@@ -195,7 +196,7 @@ def ranks_by_rows(m) -> dict[int, int]:
 
 # Lookups on the dense number map alone, or on the codes and keys alone.
 LOOKUPS = {
-    "map": {"_DENSE_WIDTH": -1, "_DENSE_SPREAD": 10**18},
+    "map": {"_DENSE_WIDTH": -1, "_DENSE_SPREAD": 10**18, "_NUMBER_SPREAD": 10**18},
     "search": {"_DENSE_BYTES": 0},
 }
 
@@ -303,17 +304,18 @@ def test_no_degree_past_8_reaches_the_codes(n):
 def test_no_budget_puts_degree_10_on_the_codes(n):
     # Degree 9 is the last whose codes an int32 holds: with every map within
     # the budget and any pass wide enough, degree 10 and up still keep keys.
-    with patch.multiple(monoid, _DENSE_WIDTH=-1, _DENSE_SPREAD=10**1000, _DENSE_BYTES=10**1000):
+    with patch.multiple(monoid, _DENSE_WIDTH=-1, _DENSE_SPREAD=10**1000, _NUMBER_SPREAD=10**1000, _DENSE_BYTES=10**1000):
         for p in (0, 10**6):
             for b in (1, 4):
                 assert monoid._dense_pays(n, p, b) == (n <= 9)
 
 
-@pytest.mark.parametrize("code_bytes", [1, 4])
+@pytest.mark.parametrize("code_bytes, spread", [(1, "_DENSE_SPREAD"), (4, "_NUMBER_SPREAD")])
 @pytest.mark.parametrize("n", range(1, 11))
-def test_as_shipped_both_maps_run_up_to_degree_8(n, code_bytes):
+def test_as_shipped_both_maps_run_up_to_degree_8(n, code_bytes, spread):
     # Each map fits _DENSE_BYTES as shipped up to n = 8, the int32 number map
-    # too (4 * 8^8 bytes), so closure and lookups switch at the same degrees.
-    edge = monoid._DENSE_WIDTH + code_bytes * n**n // monoid._DENSE_SPREAD
+    # too (4 * 8^8 bytes), so closure and lookups switch at the same degrees,
+    # each map at its own price.
+    edge = monoid._DENSE_WIDTH + code_bytes * n**n // getattr(monoid, spread)
     for p in (edge - 1, edge, edge + 1):
         assert monoid._dense_pays(n, p, code_bytes) == (n <= 8 and p > edge)

@@ -7,8 +7,10 @@ counted against a pure-Python Moore refinement with the same stop rule.
 """
 
 import random
+from dataclasses import replace
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +22,12 @@ from conftest import counter_dfa, random_dfa, small_dfas
 from test_minimize_reference import LIMITS, check
 
 
-def moore_rounds(d: Dfa, depth: int) -> int:
-    # The rounds _partition runs after a signature pass to this depth:
-    # from Moore's P_depth, one round a level, until a round splits no
-    # class, or no class has two states, or depth reaches the reachable
-    # state count less 2.
+def moore_end(d: Dfa, depth: int) -> tuple[int, str]:
+    # The rounds _partition runs after a signature pass to this depth, and
+    # how they end: from Moore's P_depth, one round a level, until P has
+    # "one class", every class has one state ("singletons"), depth reaches
+    # the reachable state count less 2 ("depth"), or a round splits no
+    # class ("no split").
     order = [q for piece in _reachable(d) for q in piece]
     finals = set(d.finals.tolist())
     rows = d.delta.tolist()
@@ -37,18 +40,24 @@ def moore_rounds(d: Dfa, depth: int) -> int:
     for _ in range(depth):
         block = refine(block)
     rounds = 0
-    while len(set(block.values())) not in (1, len(order)) and depth < len(order) - 2:
+    while True:
+        count = len(set(block.values()))
+        if count == 1:
+            return rounds, "one class"
+        if count == len(order):
+            return rounds, "singletons"
+        if depth >= len(order) - 2:
+            return rounds, "depth"
         depth, rounds = depth + 1, rounds + 1
         refined = refine(block)
-        if len(set(refined.values())) == len(set(block.values())):
-            break
+        if len(set(refined.values())) == count:
+            return rounds, "no split"
         block = refined
-    return rounds
 
 
-def ranks_and_rounds(d: Dfa, limit: int = _KEY_LIMIT) -> tuple[int, int]:
+def ranks_and_depth(d: Dfa, limit: int = _KEY_LIMIT) -> tuple[int, int]:
     # The calls of _dense_rank by nerode_partition(d) under this key limit,
-    # and the rounds the reference counts after its signature pass.
+    # and the depth its signature pass reached.
     depths = []
 
     def signature(succ, fin, real=dfa._signature_classes):
@@ -62,7 +71,54 @@ def ranks_and_rounds(d: Dfa, limit: int = _KEY_LIMIT) -> tuple[int, int]:
         patch.object(dfa, "_signature_classes", signature),
     ):
         nerode_partition(d)
-    return ranks.call_count, moore_rounds(d, *depths)
+    return ranks.call_count, depths[0]
+
+
+def ranks_and_rounds(d: Dfa, limit: int = _KEY_LIMIT) -> tuple[int, int]:
+    # The calls of _dense_rank by nerode_partition(d) under this key limit,
+    # and the rounds the reference counts after its signature pass.
+    ranks, depth = ranks_and_depth(d, limit)
+    return ranks, moore_end(d, depth)[0]
+
+
+def relabelled(d: Dfa, seed: int) -> Dfa:
+    # d with its states renamed by a seeded permutation, so that the first
+    # member of a class reached is seldom its lowest state.
+    perm = np.array([0, *random.Random(seed).sample(range(1, d.n + 1), d.n)], dtype=np.int32)
+    delta = np.empty_like(d.delta)
+    delta[:, perm[1:] - 1] = perm[d.delta]
+    return Dfa(d.n, d.alphabet, delta, int(perm[d.start]), perm[d.finals])
+
+
+@pytest.mark.parametrize(
+    "make, limit, end",
+    [
+        (lambda: replace(random_dfa(200, 2, seed=5), finals=range(1, 201)), _KEY_LIMIT, "one class"),
+        (lambda: random_dfa(200, 2, seed=5), 0, "one class"),
+        (lambda: chain_dfa(0, 40, {10, 30}), _KEY_LIMIT, "depth"),
+        (lambda: chain_dfa(5, 40, {3, 15, 35}), _KEY_LIMIT, "depth"),
+        (lambda: chain_dfa(0, 64, {32, 64}), 2**13, "no split"),
+        (lambda: chain_dfa(0, 64, {32, 64}), 0, "no split"),
+        (lambda: root_automaton(dfa_based_on(ukl_generators(2, 3))).dfa, _KEY_LIMIT, "no split"),
+        (lambda: root_automaton(dfa_based_on(ukl_generators(2, 3))).dfa, 2**16, "no split"),
+        (lambda: chain_dfa(0, 64, {64}), 0, "singletons"),
+    ],
+    ids=["all-final", "no-final", "paired-cycle", "tail-and-paired-cycle", "paired-chain", "paired-chain-0", "u23-root", "u23-root-2**16", "chain"],
+)
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_numbering_from_each_end_of_the_rounds(make, limit, end, seed):
+    # The classes are numbered from the states still keyed when the rounds
+    # stop, whichever way they stop; the reference numbers them from first
+    # reach.  Relabelled, most classes reach a higher state first.
+    d = make() if seed is None else relabelled(make(), seed)
+    assert moore_end(d, ranks_and_depth(d, limit)[1])[1] == end
+    with patch.object(dfa, "_KEY_LIMIT", limit), patch.object(dfa, "_LIST_LIMIT", 0):
+        check(d)
+    states, cls = nerode_partition(d)
+    first = states[np.unique(cls, return_index=True)[1]]
+    lowest = np.full(cls.max() + 1, d.n + 1)
+    np.minimum.at(lowest, cls, states)
+    assert seed is None or end == "singletons" or np.any(first != lowest)
 
 
 @pytest.fixture(scope="module")

@@ -278,7 +278,7 @@ def test_degree_9_on_codes_against_keys(gens, dense_lookups, monkeypatch):
     # bit 8 of a rank mask, past a uint8.
     d = dfa_based_on(gens)
     keys = closure(gens)
-    for name, value in {"_DENSE_WIDTH": -1, "_DENSE_SPREAD": 10**18, "_DENSE_BYTES": 4 * 10**8}.items():
+    for name, value in {"_DENSE_WIDTH": -1, "_DENSE_SPREAD": 10**18, "_NUMBER_SPREAD": 10**18, "_DENSE_BYTES": 4 * 10**8}.items():
         monkeypatch.setattr(monoid, name, value)
     m = closure(gens)
     assert m._on_codes and not keys._on_codes
@@ -327,6 +327,30 @@ def test_u34_dense_against_keys(dense_closures, dense_lookups, monkeypatch):
     for g, row in zip(gens, dense):
         assert keys.right_translations([g])[0].tolist() == row.tolist()
     assert dense_lookups == [7]
+
+
+# Two-letter groups of degree 8: A_8 (20,160 elements) and S_8 (40,320),
+# whose right translations of 40,320 and 80,640 products are past the
+# number map's switch at the closure's price, and short of its own.  The
+# map's 64 MiB of fresh pages cost about 10 ms a lookup, the search 2-3 ms.
+DEGREE_8_GROUPS = {
+    "A8": [Transformation((8, 1, 6, 5, 2, 3, 4, 7)), Transformation((8, 7, 4, 3, 2, 5, 1, 6))],
+    "S8": [Transformation((2, 3, 4, 5, 6, 7, 8, 1)), Transformation((1, 3, 4, 5, 6, 7, 8, 2))],
+}
+
+
+@pytest.mark.parametrize("name, size", [("A8", 20_160), ("S8", 40_320)])
+def test_degree_8_groups_search_their_codes(name, size, dense_closures, dense_lookups, monkeypatch):
+    gens = DEGREE_8_GROUPS[name]
+    m = closure(gens)
+    assert m._on_codes and len(m) == size and dense_closures == [8]
+    assert 2 * size > monoid._DENSE_WIDTH + 4 * 8**8 // monoid._DENSE_SPREAD
+    d = dfa_based_on(gens)
+    searched = root_automaton(d, monoid=m).dfa
+    assert dense_lookups == []
+    monkeypatch.setattr(monoid, "_NUMBER_SPREAD", monoid._DENSE_SPREAD)
+    assert root_automaton(d, monoid=m).dfa == searched
+    assert dense_lookups == [8]
 
 
 def test_cap_on_the_dense_path(dense_closures):
